@@ -59,22 +59,21 @@ func main() {
 	)
 	flag.Parse()
 
+	var lineup []experiments.StackSpec
 	if *stacks != "" {
 		specs, err := experiments.ParseStacks(*stacks)
-		if err == nil {
-			err = experiments.SetLineup(specs)
-		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "smtexp:", err)
 			os.Exit(1)
 		}
+		lineup = specs
 	}
 
 	switch {
 	case *list:
-		listExperiments()
+		listExperiments(lineup)
 	case *run != "":
-		if err := runExperiments(*run, *workers, *jsonOut, *quiet, *audit); err != nil {
+		if err := runExperiments(*run, lineup, *workers, *jsonOut, *quiet, *audit); err != nil {
 			fmt.Fprintln(os.Stderr, "smtexp:", err)
 			os.Exit(1)
 		}
@@ -84,10 +83,10 @@ func main() {
 	}
 }
 
-func listExperiments() {
+func listExperiments(lineup []experiments.StackSpec) {
 	fmt.Printf("%-12s %6s  %s\n", "NAME", "POINTS", "DESCRIPTION")
 	for _, e := range experiments.All() {
-		fmt.Printf("%-12s %6d  %s\n", e.Name(), len(e.Points()), e.Describe())
+		fmt.Printf("%-12s %6d  %s\n", e.Name(), len(e.Points(lineup)), e.Describe())
 	}
 	fmt.Printf("\nstacks (transport × record layer; compose a lineup with -stacks):\n")
 	fmt.Printf("%-10s %-9s %-9s %s\n", "STACK", "TRANSPORT", "RECORD", "LINEUP")
@@ -104,7 +103,7 @@ func listExperiments() {
 	}
 }
 
-func runExperiments(arg string, workers int, jsonOut string, quiet, audit bool) error {
+func runExperiments(arg string, lineup []experiments.StackSpec, workers int, jsonOut string, quiet, audit bool) error {
 	names := splitNames(arg)
 	if len(names) == 0 {
 		return fmt.Errorf("no experiment names in %q (try -list)", arg)
@@ -123,6 +122,7 @@ func runExperiments(arg string, workers int, jsonOut string, quiet, audit bool) 
 	start := time.Now()
 	runs, err := experiments.RunNamed(names, experiments.RunOptions{
 		Workers:  workers,
+		Stacks:   lineup,
 		OnResult: onResult,
 	})
 	if err != nil {

@@ -20,7 +20,7 @@ import (
 // round-trips, then AllocsPerRun over single echoes.
 func echoAllocsPerOp(t *testing.T, stack string, size int) float64 {
 	t.Helper()
-	sys := MustBuildSystem(mustStack(stack))
+	sys := must(BuildSystem(mustStack(stack)))
 	w := NewWorld(7)
 	doneID := uint64(0)
 	gotDone := false

@@ -61,10 +61,11 @@ func testFig8Shape(t *testing.T) {
 // improvement at iodepth 8. Runs under TestExperiments, cells in parallel.
 func testFig9Shape(t *testing.T) {
 	depths := []int{1, 8}
-	nsys := len(Fig6Systems())
+	lineup := DefaultLineup()
+	nsys := len(lineup)
 	flat := make([]Fig9Row, len(depths)*nsys)
 	ForEach(len(flat), 0, func(i int) {
-		flat[i] = must(MeasureNVMeoF(Fig6Systems()[i%nsys], depths[i/nsys], 12))
+		flat[i] = must(MeasureNVMeoF(must(BuildSystem(lineup[i%nsys])), depths[i/nsys], 12))
 	})
 	rows := map[string]map[int]Fig9Row{}
 	for _, r := range flat {
@@ -101,15 +102,16 @@ func testFig9Shape(t *testing.T) {
 // latency than TCPLS. Runs under TestExperiments, cells in parallel.
 func testFig10Shape(t *testing.T) {
 	sizes := []int{64, 1024, 16384}
-	mk := []func() System{tcplsSystem, func() System { return smtSystem(false) }, func() System { return smtSystem(true) }}
-	rows := make([]RTTRow, len(sizes)*len(mk))
+	stacks := []string{"TCPLS", "SMT-sw", "SMT-hw"}
+	rows := make([]RTTRow, len(sizes)*len(stacks))
 	ForEach(len(rows), 0, func(i int) {
-		rows[i] = must(MeasureRTT(mk[i%len(mk)](), sizes[i/len(mk)], 0, false, 3))
+		sys := must(BuildSystem(mustStack(stacks[i%len(stacks)])))
+		rows[i] = must(MeasureRTT(sys, sizes[i/len(stacks)], 0, false, 3))
 	})
 	for si, size := range sizes {
-		tls := rows[si*len(mk)]
-		ssw := rows[si*len(mk)+1]
-		shw := rows[si*len(mk)+2]
+		tls := rows[si*len(stacks)]
+		ssw := rows[si*len(stacks)+1]
+		shw := rows[si*len(stacks)+2]
 		t.Logf("%6dB TCPLS=%v SMT-sw=%v SMT-hw=%v", size, tls.MeanRTT, ssw.MeanRTT, shw.MeanRTT)
 		gSW := ratio(float64(tls.MeanRTT), float64(ssw.MeanRTT))
 		gHW := ratio(float64(tls.MeanRTT), float64(shw.MeanRTT))
@@ -168,10 +170,10 @@ func testFig11Shape(t *testing.T) {
 
 // testFig2Scenarios: the three Figure 2 outcomes.
 func testFig2Scenarios(t *testing.T) {
-	rows := Fig2()
-	if len(rows) != 3 {
+	if len(fig2Scenarios) != 3 {
 		t.Fatal("want 3 scenarios")
 	}
+	rows := []Fig2Row{Fig2Scenario(0), Fig2Scenario(1), Fig2Scenario(2)}
 	if !rows[0].Decrypted || rows[0].Corrupted != 0 {
 		t.Errorf("in-seq: %+v", rows[0])
 	}

@@ -25,10 +25,10 @@ import (
 // auditWorldsOf runs one registry point with global auditing on and
 // returns the audited worlds it built (empty for the analytic
 // experiments that never build a World).
-func auditWorldsOf(t *testing.T, e Experiment, pt Point) []*World {
+func auditWorldsOf(t *testing.T, e *Experiment, pt Point) []*World {
 	t.Helper()
 	SetAuditAll(true)
-	res := e.Run(pt)
+	res := RunPoints(e, []Point{pt}, RunOptions{Workers: 1})[0]
 	SetAuditAll(false)
 	worlds := TakeAuditedWorlds()
 	if res.Err != "" {
@@ -53,7 +53,7 @@ func TestAuditorGreenAcrossRegistry(t *testing.T) {
 			if e.Name() == "table2" {
 				t.Skip("table2 measures wall-clock crypto cost; no simulated wire to audit")
 			}
-			for _, pt := range spreadPoints(e.Points(), maxPts) {
+			for _, pt := range spreadPoints(e.Points(nil), maxPts) {
 				for _, w := range auditWorldsOf(t, e, pt) {
 					if !w.DrainQuiesce(2 * sim.Second) {
 						t.Errorf("%s: world did not quiesce (%d events pending)", pt.Key, w.Eng.Pending())
@@ -96,7 +96,7 @@ func TestAuditArtifactIdentity(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s not registered", name)
 			}
-			pts := spreadPoints(e.Points(), maxPts)
+			pts := spreadPoints(e.Points(nil), maxPts)
 			base := artifactJSON(t, e, pts, 1)
 			SetAuditAll(true)
 			audited := artifactJSON(t, e, pts, 1)

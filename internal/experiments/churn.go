@@ -177,8 +177,7 @@ func MeasureChurn(spec StackSpec, policy HandshakePolicy, rate float64, seed int
 	return row, nil
 }
 
-// ChurnSeed derives the per-rate world seed shared by the registry and
-// the serial driver.
+// ChurnSeed derives the per-rate world seed of the registry sweep.
 func ChurnSeed(rate float64) int64 { return 17000 + int64(rate)/100 }
 
 // churnPoint is one cell of the sweep's (stack, policy) axis. Forced
@@ -194,9 +193,9 @@ type churnPoint struct {
 // policy (ChurnPolicyFor), plus a forced-1RTT variant for the stacks
 // that default to 0-RTT — the pinned comparison that 0-RTT's missing
 // certificate round actually buys setup latency under churn.
-func churnPoints() []churnPoint {
+func churnPoints(lineup []StackSpec) []churnPoint {
 	var pts []churnPoint
-	for _, spec := range Lineup() {
+	for _, spec := range lineup {
 		def := ChurnPolicyFor(spec)
 		pts = append(pts, churnPoint{spec, def, false})
 		if def == HS0RTT {
@@ -204,21 +203,6 @@ func churnPoints() []churnPoint {
 		}
 	}
 	return pts
-}
-
-// Churn runs the full sweep serially (cmd/smtbench and tests).
-func Churn() ([]ChurnRow, error) {
-	var rows []ChurnRow
-	for _, rate := range ChurnRates {
-		for _, pt := range churnPoints() {
-			r, err := MeasureChurn(pt.Spec, pt.Policy, rate, ChurnSeed(rate))
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
 }
 
 // churnValues flattens a row for the registry.

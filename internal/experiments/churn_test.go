@@ -17,8 +17,8 @@ func TestChurnRegistered(t *testing.T) {
 	if !ok {
 		t.Fatal("churn not registered")
 	}
-	want := len(ChurnRates) * len(churnPoints())
-	if got := len(e.Points()); got != want {
+	want := len(ChurnRates) * len(churnPoints(DefaultLineup()))
+	if got := len(e.Points(nil)); got != want {
 		t.Fatalf("churn has %d points, want %d", got, want)
 	}
 }
@@ -141,7 +141,7 @@ func TestDialedMatchesPrepaired(t *testing.T) {
 	for _, name := range []string{"SMT-sw", "kTLS-sw"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			sys := MustBuildFabric(mustStack(name))
+			sys := must(BuildFabric(mustStack(name)))
 			measure := func(dialed bool) float64 {
 				w := NewFabricWorld(777, netsim.Topology{Hosts: 2})
 				var loop *rpc.ClosedLoop

@@ -21,7 +21,7 @@ import (
 // artifactJSON runs pts and serializes the results the way a JSON
 // artifact would, with wall-clock timing stripped (the only field
 // allowed to differ between runs).
-func artifactJSON(t *testing.T, e Experiment, pts []Point, workers int) []byte {
+func artifactJSON(t *testing.T, e *Experiment, pts []Point, workers int) []byte {
 	t.Helper()
 	res := RunPoints(e, pts, RunOptions{Workers: workers})
 	for i := range res {
@@ -68,7 +68,7 @@ func TestDeterministicArtifacts(t *testing.T) {
 				t.Skip("table2 measures wall-clock crypto cost; machine-dependent by design")
 			}
 			t.Parallel()
-			pts := spreadPoints(e.Points(), maxPts)
+			pts := spreadPoints(e.Points(nil), maxPts)
 			serial := artifactJSON(t, e, pts, 1)
 			again := artifactJSON(t, e, pts, 1)
 			if !bytes.Equal(serial, again) {
@@ -111,7 +111,7 @@ func TestPacketPoolLeakFreedom(t *testing.T) {
 			if e.Name() == "table2" {
 				t.Skip("table2 measures wall-clock crypto cost; no simulated network")
 			}
-			for _, pt := range spreadPoints(e.Points(), 2) {
+			for _, pt := range spreadPoints(e.Points(nil), 2) {
 				for _, w := range auditWorldsOf(t, e, pt) {
 					if !w.DrainQuiesce(2 * sim.Second) {
 						t.Errorf("%s: world did not quiesce (%d events pending)", pt.Key, w.Eng.Pending())

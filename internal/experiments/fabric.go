@@ -15,8 +15,7 @@ import (
 // netsim.Topology, and decompose into independent (config, seed)
 // points exactly like every other registry experiment.
 
-// Fabric sweep grids. The registry sweeps (register.go) share these
-// with the serial drivers below, so the two stay in lockstep.
+// Fabric sweep grids.
 var (
 	// IncastClients sweeps the fan-in degree M (M clients → 1 server).
 	IncastClients = []int{1, 3, 8}
@@ -132,23 +131,6 @@ func MeasureIncast(sys FabricSystem, clients, size int, seed int64) (IncastRow, 
 	}, nil
 }
 
-// Incast reproduces the fan-in sweep across the active lineup.
-func Incast() ([]IncastRow, error) {
-	var rows []IncastRow
-	for _, m := range IncastClients {
-		for _, size := range IncastSizes {
-			for _, sys := range FabricSystems() {
-				r, err := MeasureIncast(sys, m, size, 9000+int64(m))
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, r)
-			}
-		}
-	}
-	return rows, nil
-}
-
 // MulticlientRow is one (system, clients) scaling point.
 type MulticlientRow struct {
 	System  string
@@ -209,19 +191,4 @@ func MeasureMulticlient(sys FabricSystem, clients int, seed int64) (MulticlientR
 		ServerCPU:     srvBusy,
 		N:             completed,
 	}, nil
-}
-
-// Multiclient reproduces the client-scaling sweep across the lineup.
-func Multiclient() ([]MulticlientRow, error) {
-	var rows []MulticlientRow
-	for _, m := range MulticlientCounts {
-		for _, sys := range FabricSystems() {
-			r, err := MeasureMulticlient(sys, m, 8000+int64(m))
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
 }

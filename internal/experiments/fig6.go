@@ -48,19 +48,3 @@ func MeasureRTT(sys System, size, mtu int, noTSO bool, seed int64) (RTTRow, erro
 		N:       cl.Latency.Count(),
 	}, nil
 }
-
-// Fig6 reproduces Figure 6: unloaded RTT across RPC sizes for the
-// active lineup (default: TCP, kTLS-sw/hw, Homa, SMT-sw/hw).
-func Fig6() ([]RTTRow, error) {
-	var rows []RTTRow
-	for _, size := range Fig6Sizes {
-		for _, sys := range Fig6Systems() {
-			r, err := MeasureRTT(sys, size, 0, false, 42)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
-}

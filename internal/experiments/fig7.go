@@ -7,8 +7,6 @@ import (
 
 // Fig7Concurrency and Fig7Sizes are the §5.2 sweep parameters;
 // Fig7MTUConcurrency and Fig7MTUs are the jumbo-MTU paragraph's grid.
-// The registry sweeps (register.go) share these vars with the serial
-// drivers below, so the two stay in lockstep.
 var (
 	Fig7Concurrency    = []int{50, 100, 150, 200}
 	Fig7Sizes          = []int{64, 1024, 8192}
@@ -78,62 +76,12 @@ func MeasureThroughput(sys System, size, streams, mtu int, spacing sim.Time, see
 	}, nil
 }
 
-// Fig7 reproduces Figure 7: throughput over concurrency for three RPC
-// sizes across the active lineup.
-func Fig7() ([]TputRow, error) {
-	var rows []TputRow
-	for _, size := range Fig7Sizes {
-		for _, c := range Fig7Concurrency {
-			for _, sys := range Fig6Systems() {
-				r, err := MeasureThroughput(sys, size, c, 0, 0, 1000+int64(c))
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, r)
-			}
-		}
-	}
-	return rows, nil
-}
-
-// Fig7JumboMTU reproduces the §5.2 "impact of a larger MTU" paragraph:
-// 8 KB RPCs at 50–150 concurrency with a 9 KB MTU, so one message fits a
-// single packet.
-func Fig7JumboMTU() ([]TputRow, error) {
-	var rows []TputRow
-	for _, c := range Fig7MTUConcurrency {
-		for _, mtu := range Fig7MTUs {
-			for _, sys := range []System{smtSystem(false), smtSystem(true)} {
-				r, err := MeasureThroughput(sys, 8192, c, mtu, 0, 2000+int64(c))
-				if err != nil {
-					return nil, err
-				}
-				if mtu == 9000 {
-					r.System += "+9K"
-				}
-				rows = append(rows, r)
-			}
-		}
-	}
-	return rows, nil
-}
-
 // CPUUsageLineup is the §5.2 fixed-rate comparison lineup as specs.
 func CPUUsageLineup() []StackSpec {
 	return []StackSpec{
 		mustStack("kTLS-sw"), mustStack("kTLS-hw"),
 		mustStack("SMT-sw"), mustStack("SMT-hw"),
 	}
-}
-
-// CPUUsageSystems is the CPUUsageLineup built for the two-host harness.
-func CPUUsageSystems() []System {
-	lineup := CPUUsageLineup()
-	systems := make([]System, len(lineup))
-	for i, spec := range lineup {
-		systems[i] = MustBuildSystem(spec)
-	}
-	return systems
 }
 
 // MeasureCPUUsage runs one system of the §5.2 CPU-usage comparison:
@@ -143,18 +91,4 @@ func MeasureCPUUsage(sys System, targetRate float64) (TputRow, error) {
 	const streams = 150
 	spacing := sim.Time(float64(streams) / targetRate * 1e9)
 	return MeasureThroughput(sys, 1024, streams, 0, spacing, 77)
-}
-
-// CPUUsage reproduces the §5.2 CPU-usage comparison across the lineup.
-// The paper uses 1.2 M req/s.
-func CPUUsage(targetRate float64) ([]TputRow, error) {
-	var rows []TputRow
-	for _, sys := range CPUUsageSystems() {
-		r, err := MeasureCPUUsage(sys, targetRate)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
 }

@@ -24,8 +24,7 @@ type Fig8Row struct {
 // fig8Keys is the database size for the YCSB runs.
 const fig8Keys = 10000
 
-// Fig8Values and Fig8Workloads are the Figure 8 sweep grid, shared by
-// the serial driver and the registry sweep.
+// Fig8Values and Fig8Workloads are the Figure 8 sweep grid.
 var (
 	Fig8Values    = []int{64, 1024, 4096}
 	Fig8Workloads = []ycsb.Workload{
@@ -282,25 +281,4 @@ func MeasureRedis(sys redisSystem, w8 ycsb.Workload, valueSize, streams int, see
 	w.Eng.RunUntil(stop)
 	cl.Stop()
 	return Fig8Row{System: sys.name, Workload: w8, Value: valueSize, OpsPerSec: cl.Throughput()}, nil
-}
-
-// Fig8 reproduces Figure 8: YCSB A–E × value sizes 64 B / 1 KB / 4 KB.
-func Fig8() ([]Fig8Row, error) {
-	systems, err := Fig8Systems()
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig8Row
-	for _, v := range Fig8Values {
-		for _, wl := range Fig8Workloads {
-			for _, sys := range systems {
-				r, err := MeasureRedis(sys, wl, v, 64, 333)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, r)
-			}
-		}
-	}
-	return rows, nil
 }

@@ -7,8 +7,7 @@ import (
 	"smt/internal/stats"
 )
 
-// Fig9Depths is the Figure 9 iodepth grid, shared by the serial driver
-// and the registry sweep.
+// Fig9Depths is the Figure 9 iodepth grid.
 var Fig9Depths = []int{1, 2, 4, 6, 8}
 
 // Fig9Row is one (system, iodepth) NVMe-oF latency point.
@@ -77,20 +76,4 @@ func MeasureNVMeoF(sys System, iodepth int, seed int64) (Fig9Row, error) {
 		P99Us: float64(lat.P99())/1e3 + base,
 		IOPS:  cl.Throughput(),
 	}, nil
-}
-
-// Fig9 reproduces Figure 9: P50/P99 NVMe-oF read latency over iodepth
-// for the active lineup.
-func Fig9() ([]Fig9Row, error) {
-	var rows []Fig9Row
-	for _, d := range Fig9Depths {
-		for _, sys := range Fig6Systems() {
-			r, err := MeasureNVMeoF(sys, d, 444)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
 }

@@ -11,8 +11,9 @@ func loadSweepByName(t *testing.T, load float64) map[string]LoadSweepRow {
 	t.Helper()
 	var mu sync.Mutex
 	rows := map[string]LoadSweepRow{}
-	ForEach(len(FabricSystems()), 0, func(i int) {
-		r := must(MeasureLoadSweep(FabricSystems()[i], load, LoadSweepSeed(load)))
+	lineup := DefaultLineup()
+	ForEach(len(lineup), 0, func(i int) {
+		r := must(MeasureLoadSweep(must(BuildFabric(lineup[i])), load, LoadSweepSeed(load)))
 		mu.Lock()
 		rows[r.System] = r
 		mu.Unlock()
@@ -125,7 +126,7 @@ func TestMeasureUnloadedIdeal(t *testing.T) {
 	}
 	t.Parallel()
 	dist := LoadSweepDist()
-	ideal := must(measureUnloadedIdeal(MustBuildFabric(mustStack("Homa")), dist, 11010, defaultLoadSweepParams()))
+	ideal := must(measureUnloadedIdeal(must(BuildFabric(mustStack("Homa"))), dist, 11010, defaultLoadSweepParams()))
 	if len(ideal) != len(dist.Sizes()) {
 		t.Fatalf("ideal covers %d sizes, support has %d", len(ideal), len(dist.Sizes()))
 	}

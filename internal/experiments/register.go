@@ -13,20 +13,19 @@ import (
 // builds its own system and World inside its Run closure, so no state
 // is shared between points and any subset may run concurrently.
 //
-// The lineup-driven sweeps (fig6, fig7, fig9, incast, multiclient,
-// loadsweep) decompose over Lineup() — the default six-stack lineup
-// unless SetLineup installed a selection (smtexp -stacks). The
-// per-figure seeds and grids mirror the original serial drivers
-// (Fig6(), Fig7(), ... in fig*.go), so registry results reproduce the
-// exact numbers those functions produce.
+// Each registered builder is the only definition of its sweep. The
+// lineup-driven sweeps (fig6, fig7, fig9, incast, multiclient,
+// loadsweep, churn) decompose over the lineup they are handed —
+// RunOptions.Stacks, DefaultLineup unless smtexp -stacks selects
+// another; every other builder ignores it.
 
 func itoa(v int) string { return strconv.Itoa(v) }
 
 func init() {
-	register("fig6", "unloaded RTT across RPC sizes for the stack lineup (§5.1)", func() []pointSpec {
+	register("fig6", "unloaded RTT across RPC sizes for the stack lineup (§5.1)", func(lineup []StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, size := range Fig6Sizes {
-			for _, stack := range Lineup() {
+			for _, stack := range lineup {
 				specs = append(specs, pointSpec{
 					Key:    fmt.Sprintf("sys=%s/size=%d", stack.Name, size),
 					Seed:   42,
@@ -40,11 +39,7 @@ func init() {
 						if err != nil {
 							return nil, err
 						}
-						return Values{
-							"mean_rtt_ns": float64(r.MeanRTT),
-							"p50_rtt_ns":  float64(r.P50RTT),
-							"n":           float64(r.N),
-						}, nil
+						return rttValues(r), nil
 					},
 				})
 			}
@@ -52,11 +47,11 @@ func init() {
 		return specs
 	})
 
-	register("fig7", "throughput over concurrency for 64B/1KB/8KB RPCs across the stack lineup (§5.2)", func() []pointSpec {
+	register("fig7", "throughput over concurrency for 64B/1KB/8KB RPCs across the stack lineup (§5.2)", func(lineup []StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, size := range Fig7Sizes {
 			for _, c := range Fig7Concurrency {
-				for _, stack := range Lineup() {
+				for _, stack := range lineup {
 					specs = append(specs, pointSpec{
 						Key:    fmt.Sprintf("sys=%s/size=%d/conc=%d", stack.Name, size, c),
 						Seed:   1000 + int64(c),
@@ -79,7 +74,7 @@ func init() {
 		return specs
 	})
 
-	register("fig7mtu", "8KB RPC throughput with 1.5K vs 9K MTU for SMT-sw/hw (§5.2 jumbo-MTU paragraph)", func() []pointSpec {
+	register("fig7mtu", "8KB RPC throughput with 1.5K vs 9K MTU for SMT-sw/hw (§5.2 jumbo-MTU paragraph)", func([]StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, c := range Fig7MTUConcurrency {
 			for _, mtu := range Fig7MTUs {
@@ -114,7 +109,7 @@ func init() {
 		return specs
 	})
 
-	register("cpuusage", "CPU busy fractions at a fixed 1.2M req/s rate for kTLS and SMT (§5.2)", func() []pointSpec {
+	register("cpuusage", "CPU busy fractions at a fixed 1.2M req/s rate for kTLS and SMT (§5.2)", func([]StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, stack := range CPUUsageLineup() {
 			specs = append(specs, pointSpec{
@@ -137,7 +132,7 @@ func init() {
 		return specs
 	})
 
-	register("fig8", "Redis-style YCSB A-E throughput over value sizes across seven systems (§5.3)", func() []pointSpec {
+	register("fig8", "Redis-style YCSB A-E throughput over value sizes across seven systems (§5.3)", func([]StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, v := range Fig8Values {
 			for _, wl := range Fig8Workloads {
@@ -164,10 +159,10 @@ func init() {
 		return specs
 	})
 
-	register("fig9", "NVMe-oF 4KB random-read P50/P99 latency over iodepth for the stack lineup (§5.4)", func() []pointSpec {
+	register("fig9", "NVMe-oF 4KB random-read P50/P99 latency over iodepth for the stack lineup (§5.4)", func(lineup []StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, d := range Fig9Depths {
-			for _, stack := range Lineup() {
+			for _, stack := range lineup {
 				specs = append(specs, pointSpec{
 					Key:    fmt.Sprintf("sys=%s/iodepth=%d", stack.Name, d),
 					Seed:   444,
@@ -189,7 +184,7 @@ func init() {
 		return specs
 	})
 
-	register("fig10", "unloaded RTT of TCPLS vs SMT-sw/hw (§5.5)", func() []pointSpec {
+	register("fig10", "unloaded RTT of TCPLS vs SMT-sw/hw (§5.5)", func([]StackSpec) []pointSpec {
 		var specs []pointSpec
 		lineup := []StackSpec{mustStack("TCPLS"), mustStack("SMT-sw"), mustStack("SMT-hw")}
 		for _, size := range Fig10Sizes {
@@ -207,7 +202,7 @@ func init() {
 						if err != nil {
 							return nil, err
 						}
-						return Values{"mean_rtt_ns": float64(r.MeanRTT), "p50_rtt_ns": float64(r.P50RTT), "n": float64(r.N)}, nil
+						return rttValues(r), nil
 					},
 				})
 			}
@@ -215,7 +210,7 @@ func init() {
 		return specs
 	})
 
-	register("fig11", "SMT-hw RTT with TSO vs software segmentation (§5.5)", func() []pointSpec {
+	register("fig11", "SMT-hw RTT with TSO vs software segmentation (§5.5)", func([]StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, size := range Fig11Sizes {
 			for _, noTSO := range []bool{false, true} {
@@ -236,7 +231,7 @@ func init() {
 						if err != nil {
 							return nil, err
 						}
-						return Values{"mean_rtt_ns": float64(r.MeanRTT), "p50_rtt_ns": float64(r.P50RTT), "n": float64(r.N)}, nil
+						return rttValues(r), nil
 					},
 				})
 			}
@@ -244,7 +239,7 @@ func init() {
 		return specs
 	})
 
-	register("fig12", "key-exchange + first-RPC latency for the five handshake variants (§5.6)", func() []pointSpec {
+	register("fig12", "key-exchange + first-RPC latency for the five handshake variants (§5.6)", func([]StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, size := range Fig12Sizes {
 			for _, m := range Fig12Modes {
@@ -265,11 +260,11 @@ func init() {
 		return specs
 	})
 
-	register("incast", "M-client incast onto one switch port: tail latency and goodput collapse across the stack lineup", func() []pointSpec {
+	register("incast", "M-client incast onto one switch port: tail latency and goodput collapse across the stack lineup", func(lineup []StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, m := range IncastClients {
 			for _, size := range IncastSizes {
-				for _, stack := range Lineup() {
+				for _, stack := range lineup {
 					specs = append(specs, pointSpec{
 						Key:    fmt.Sprintf("sys=%s/clients=%d/size=%d", stack.Name, m, size),
 						Seed:   9000 + int64(m),
@@ -292,10 +287,10 @@ func init() {
 		return specs
 	})
 
-	register("multiclient", "aggregate throughput scaling as client hosts are added, across the stack lineup", func() []pointSpec {
+	register("multiclient", "aggregate throughput scaling as client hosts are added, across the stack lineup", func(lineup []StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, m := range MulticlientCounts {
-			for _, stack := range Lineup() {
+			for _, stack := range lineup {
 				specs = append(specs, pointSpec{
 					Key:    fmt.Sprintf("sys=%s/clients=%d", stack.Name, m),
 					Seed:   8000 + int64(m),
@@ -324,10 +319,10 @@ func init() {
 		return specs
 	})
 
-	register("loadsweep", "open-loop offered-load sweep: p50/p99 slowdown and goodput vs load across the stack lineup", func() []pointSpec {
+	register("loadsweep", "open-loop offered-load sweep: p50/p99 slowdown and goodput vs load across the stack lineup", func(lineup []StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, load := range LoadSweepLoads {
-			for _, stack := range Lineup() {
+			for _, stack := range lineup {
 				specs = append(specs, pointSpec{
 					Key:    fmt.Sprintf("sys=%s/load=%d", stack.Name, LoadSweepPercent(load)),
 					Seed:   LoadSweepSeed(load),
@@ -349,7 +344,7 @@ func init() {
 		return specs
 	})
 
-	register("bigworld", "64-host single-switch loadsweep smoke: timer-churn scale point on the road to 256 hosts", func() []pointSpec {
+	register("bigworld", "64-host single-switch loadsweep smoke: timer-churn scale point on the road to 256 hosts", func([]StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, stack := range BigWorldLineup() {
 			specs = append(specs, pointSpec{
@@ -377,10 +372,10 @@ func init() {
 		return specs
 	})
 
-	register("churn", "live connection churn: dialed key exchanges at a swept arrival rate — setup latency, handshake CPU, dcdns ticket hit rate", func() []pointSpec {
+	register("churn", "live connection churn: dialed key exchanges at a swept arrival rate — setup latency, handshake CPU, dcdns ticket hit rate", func(lineup []StackSpec) []pointSpec {
 		var specs []pointSpec
 		for _, rate := range ChurnRates {
-			for _, pt := range churnPoints() {
+			for _, pt := range churnPoints(lineup) {
 				rate, pt := rate, pt
 				key := fmt.Sprintf("sys=%s/rate=%d", pt.Spec.Name, int(rate))
 				if pt.Forced {
@@ -407,7 +402,7 @@ func init() {
 		return specs
 	})
 
-	register("chaos", "fault/chaos battery: loss+dup+reorder+corruption storms × every stack, audited fail-closed", func() []pointSpec {
+	register("chaos", "fault/chaos battery: loss+dup+reorder+corruption storms × every stack, audited fail-closed", func([]StackSpec) []pointSpec {
 		var specs []pointSpec
 		for li := range ChaosLevels {
 			level := ChaosLevels[li]
@@ -435,7 +430,7 @@ func init() {
 		return specs
 	})
 
-	register("fig2", "autonomous-offload resync semantics: in-seq, out-of-seq, resync-repaired (§3.2)", func() []pointSpec {
+	register("fig2", "autonomous-offload resync semantics: in-seq, out-of-seq, resync-repaired (§3.2)", func([]StackSpec) []pointSpec {
 		var specs []pointSpec
 		for i := range fig2Scenarios {
 			name := fig2Scenarios[i].name
@@ -460,7 +455,7 @@ func init() {
 		return specs
 	})
 
-	register("fig5", "composite sequence-number bit-allocation trade-off matrix (§4.4.1)", func() []pointSpec {
+	register("fig5", "composite sequence-number bit-allocation trade-off matrix (§4.4.1)", func([]StackSpec) []pointSpec {
 		rows := Fig5()
 		var specs []pointSpec
 		for i := range rows {
@@ -482,7 +477,7 @@ func init() {
 		return specs
 	})
 
-	register("table1", "design-space property matrix of transport-encryption systems (§2)", func() []pointSpec {
+	register("table1", "design-space property matrix of transport-encryption systems (§2)", func([]StackSpec) []pointSpec {
 		rows := Table1()
 		var specs []pointSpec
 		for i := range rows {
@@ -504,7 +499,7 @@ func init() {
 		return specs
 	})
 
-	register("table2", "per-operation handshake cost breakdown with real crypto on this machine (§5.6)", func() []pointSpec {
+	register("table2", "per-operation handshake cost breakdown with real crypto on this machine (§5.6)", func([]StackSpec) []pointSpec {
 		// One point: the rows share key material and are measured
 		// together; values are wall-clock and so machine-dependent.
 		return []pointSpec{{
@@ -523,6 +518,15 @@ func init() {
 			},
 		}}
 	})
+}
+
+// rttValues flattens an unloaded-RTT row into registry values.
+func rttValues(r RTTRow) Values {
+	return Values{
+		"mean_rtt_ns": float64(r.MeanRTT),
+		"p50_rtt_ns":  float64(r.P50RTT),
+		"n":           float64(r.N),
+	}
 }
 
 // tputValues flattens a throughput row into registry values.

@@ -14,21 +14,36 @@ import (
 // subset of points can run concurrently (see runner.go) and in any
 // order, while results stay deterministic and deterministically ordered.
 
-// Experiment is one named table/figure of the evaluation.
+// Experiment is one named table/figure of the evaluation: a sweep
+// decomposed into independent points.
 //
-// Points must be stable: the same experiment always decomposes into the
-// same point list, in the same order, with the same keys and seeds.
-// Run must be safe to call from multiple goroutines on distinct points.
-type Experiment interface {
-	// Name is the registry key, e.g. "fig6".
-	Name() string
-	// Describe is a one-line human description.
-	Describe() string
-	// Points enumerates the independent cells of the sweep.
-	Points() []Point
-	// Run executes one point and returns its result. It must not
-	// depend on any other point having run.
-	Run(Point) Result
+// The decomposition must be stable: for a given lineup an experiment
+// always yields the same point list, in the same order, with the same
+// keys and seeds.
+type Experiment struct {
+	name string
+	desc string
+	// build decomposes the sweep over a stack lineup. The lineup-driven
+	// sweeps (fig6, fig7, fig9, incast, multiclient, loadsweep, churn)
+	// iterate it; every other experiment ignores it.
+	build func(lineup []StackSpec) []pointSpec
+}
+
+// Name is the registry key, e.g. "fig6".
+func (e *Experiment) Name() string { return e.name }
+
+// Describe is a one-line human description.
+func (e *Experiment) Describe() string { return e.desc }
+
+// Points enumerates the independent cells of the sweep over stacks
+// (nil or empty means DefaultLineup).
+func (e *Experiment) Points(stacks []StackSpec) []Point {
+	specs := e.build(lineupOrDefault(stacks))
+	pts := make([]Point, len(specs))
+	for i, s := range specs {
+		pts[i] = Point{Index: i, Key: s.Key, Seed: s.Seed}
+	}
+	return pts
 }
 
 // Point identifies one independent cell of an experiment's sweep.
@@ -76,29 +91,9 @@ type pointSpec struct {
 	Run    func() (Values, error)
 }
 
-// specExperiment adapts a deterministic []pointSpec builder to the
-// Experiment interface. The builder is re-invoked per call; it must be
-// cheap and must return the same decomposition every time.
-type specExperiment struct {
-	name  string
-	desc  string
-	build func() []pointSpec
-}
-
-func (e *specExperiment) Name() string     { return e.name }
-func (e *specExperiment) Describe() string { return e.desc }
-
-func (e *specExperiment) Points() []Point {
-	specs := e.build()
-	pts := make([]Point, len(specs))
-	for i, s := range specs {
-		pts[i] = Point{Index: i, Key: s.Key, Seed: s.Seed}
-	}
-	return pts
-}
-
-func (e *specExperiment) Run(p Point) Result {
-	specs := e.build()
+// runPoint executes one point against a decomposition built once per
+// RunPoints call. It must not depend on any other point having run.
+func (e *Experiment) runPoint(specs []pointSpec, p Point) Result {
 	res := Result{Experiment: e.name, Index: p.Index, Key: p.Key, Seed: p.Seed}
 	if p.Index < 0 || p.Index >= len(specs) {
 		res.Err = fmt.Sprintf("point index %d out of range [0,%d)", p.Index, len(specs))
@@ -133,33 +128,28 @@ func (e *specExperiment) Run(p Point) Result {
 
 var (
 	regMu    sync.RWMutex
-	registry = map[string]Experiment{}
+	registry = map[string]*Experiment{}
 )
 
-// Register adds an experiment under its name. It panics on a duplicate
-// or empty name — registration is an init-time programming contract.
-func Register(e Experiment) {
-	name := e.Name()
+// register adds an experiment under its name (register.go's init). It
+// panics on a duplicate or empty name — registration is an init-time
+// programming contract.
+func register(name, desc string, build func(lineup []StackSpec) []pointSpec) {
 	if name == "" {
 		//smt:allow panic -- init-time registration contract; a nameless experiment can never be looked up
-		panic("experiments: Register with empty name")
+		panic("experiments: register with empty name")
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[name]; dup {
 		//smt:allow panic -- init-time registration contract; a duplicate would silently shadow an experiment
-		panic("experiments: duplicate Register of " + name)
+		panic("experiments: duplicate register of " + name)
 	}
-	registry[name] = e
-}
-
-// register is the init-time shorthand used by register.go.
-func register(name, desc string, build func() []pointSpec) {
-	Register(&specExperiment{name: name, desc: desc, build: build})
+	registry[name] = &Experiment{name: name, desc: desc, build: build}
 }
 
 // Lookup returns the experiment registered under name.
-func Lookup(name string) (Experiment, bool) {
+func Lookup(name string) (*Experiment, bool) {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	e, ok := registry[name]
@@ -180,11 +170,11 @@ func Names() []string {
 }
 
 // All returns all registered experiments, sorted by name.
-func All() []Experiment {
+func All() []*Experiment {
 	names := Names()
 	regMu.RLock()
 	defer regMu.RUnlock()
-	exps := make([]Experiment, len(names))
+	exps := make([]*Experiment, len(names))
 	for i, n := range names {
 		exps[i] = registry[n]
 	}

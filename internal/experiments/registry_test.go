@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"os"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -31,6 +34,45 @@ func TestRegistryCatalogue(t *testing.T) {
 	}
 }
 
+// TestArchitectureExperimentTable keeps ARCHITECTURE.md's experiment
+// table in step with the registry: its "Registered name" column must
+// list exactly Names().
+func TestArchitectureExperimentTable(t *testing.T) {
+	doc, err := os.ReadFile("../../ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := -1
+	var documented []string
+	for _, line := range strings.Split(string(doc), "\n") {
+		cells := strings.Split(line, "|")
+		if col < 0 {
+			for i, c := range cells {
+				if strings.TrimSpace(c) == "Registered name" {
+					col = i
+				}
+			}
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			if len(documented) > 0 {
+				break // end of the table
+			}
+			continue
+		}
+		if col >= len(cells) {
+			t.Fatalf("table row %q has no column %d", line, col)
+		}
+		if name := strings.Trim(strings.TrimSpace(cells[col]), "`"); name != "" && !strings.HasPrefix(name, "---") {
+			documented = append(documented, name)
+		}
+	}
+	sort.Strings(documented)
+	if !reflect.DeepEqual(documented, Names()) {
+		t.Errorf("ARCHITECTURE.md experiment table lists %v, registry has %v", documented, Names())
+	}
+}
+
 func TestRegistryLookup(t *testing.T) {
 	e, ok := Lookup("fig6")
 	if !ok {
@@ -57,7 +99,7 @@ func TestRegistryLookup(t *testing.T) {
 // contiguous indexes, unique keys, and a stable point list.
 func TestRegistryPoints(t *testing.T) {
 	for _, e := range All() {
-		pts := e.Points()
+		pts := e.Points(nil)
 		if len(pts) == 0 {
 			t.Errorf("%s: no points", e.Name())
 			continue
@@ -75,7 +117,7 @@ func TestRegistryPoints(t *testing.T) {
 			}
 			keys[p.Key] = true
 		}
-		again := e.Points()
+		again := e.Points(nil)
 		if len(again) != len(pts) {
 			t.Errorf("%s: Points() unstable: %d then %d", e.Name(), len(pts), len(again))
 			continue
@@ -88,18 +130,21 @@ func TestRegistryPoints(t *testing.T) {
 	}
 }
 
-// TestRegistryPointCounts pins every registry decomposition to the
-// shared sweep grids the serial drivers iterate, so editing a driver
-// grid without the registry following along fails fast.
+// TestRegistryPointCounts pins every registered decomposition to its
+// exported sweep grid, so a grid edit the registry does not follow (or
+// a new registration with no count here) fails fast.
 func TestRegistryPointCounts(t *testing.T) {
+	lineup := len(DefaultLineup())
 	want := map[string]int{
+		"bigworld":    len(BigWorldLineup()),
 		"chaos":       len(ChaosLevels) * len(Stacks()),
-		"fig6":        len(Fig6Sizes) * len(Fig6Systems()),
-		"fig7":        len(Fig7Sizes) * len(Fig7Concurrency) * len(Fig6Systems()),
+		"churn":       len(ChurnRates) * len(churnPoints(DefaultLineup())),
+		"fig6":        len(Fig6Sizes) * lineup,
+		"fig7":        len(Fig7Sizes) * len(Fig7Concurrency) * lineup,
 		"fig7mtu":     len(Fig7MTUConcurrency) * len(Fig7MTUs) * 2,
-		"cpuusage":    len(CPUUsageSystems()),
-		"fig8":        len(Fig8Values) * len(Fig8Workloads) * len(must(Fig8Systems())),
-		"fig9":        len(Fig9Depths) * len(Fig6Systems()),
+		"cpuusage":    len(CPUUsageLineup()),
+		"fig8":        len(Fig8Values) * len(Fig8Workloads) * len(RedisLineup()),
+		"fig9":        len(Fig9Depths) * lineup,
 		"fig10":       len(Fig10Sizes) * 3,
 		"fig11":       len(Fig11Sizes) * 2,
 		"fig12":       len(Fig12Sizes) * len(Fig12Modes),
@@ -107,9 +152,17 @@ func TestRegistryPointCounts(t *testing.T) {
 		"fig5":        len(Fig5()),
 		"table1":      len(Table1()),
 		"table2":      1,
-		"incast":      len(IncastClients) * len(IncastSizes) * len(FabricSystems()),
-		"loadsweep":   len(LoadSweepLoads) * len(FabricSystems()),
-		"multiclient": len(MulticlientCounts) * len(FabricSystems()),
+		"incast":      len(IncastClients) * len(IncastSizes) * lineup,
+		"loadsweep":   len(LoadSweepLoads) * lineup,
+		"multiclient": len(MulticlientCounts) * lineup,
+	}
+	names := make([]string, 0, len(want))
+	for name := range want {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if !reflect.DeepEqual(names, Names()) {
+		t.Errorf("point-count table covers %v, registry has %v", names, Names())
 	}
 	for name, n := range want {
 		e, ok := Lookup(name)
@@ -117,8 +170,8 @@ func TestRegistryPointCounts(t *testing.T) {
 			t.Errorf("%s not registered", name)
 			continue
 		}
-		if got := len(e.Points()); got != n {
-			t.Errorf("%s: %d points, want %d (registry out of sync with driver grid)", name, got, n)
+		if got := len(e.Points(nil)); got != n {
+			t.Errorf("%s: %d points, want %d (registry out of sync with its grid)", name, got, n)
 		}
 	}
 }
@@ -129,24 +182,30 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Error("duplicate Register did not panic")
 		}
 	}()
-	register("fig6", "dup", func() []pointSpec { return nil })
+	register("fig6", "dup", func([]StackSpec) []pointSpec { return nil })
 }
 
 func TestRunOutOfRangePoint(t *testing.T) {
 	e, _ := Lookup("fig2")
-	res := e.Run(Point{Index: 99, Key: "bogus"})
+	res := RunPoints(e, []Point{{Index: 99, Key: "bogus"}}, RunOptions{})[0]
 	if res.Err == "" {
 		t.Error("out-of-range point should report an error")
 	}
 	if res.Experiment != "fig2" {
 		t.Errorf("error result should carry the experiment name, got %q", res.Experiment)
 	}
+	// A stale key (recorded before a grid edit shifted the indexes)
+	// fails instead of measuring whichever cell lives there now.
+	stale := RunPoints(e, []Point{{Index: 0, Key: "bogus"}}, RunOptions{})[0]
+	if !strings.Contains(stale.Err, "no longer at index") {
+		t.Errorf("stale key should report an error, got %+v", stale)
+	}
 }
 
 // TestRunRecoversPanic checks that a panicking point surfaces as
 // Result.Err rather than killing the worker pool.
 func TestRunRecoversPanic(t *testing.T) {
-	e := &specExperiment{name: "boom", desc: "test", build: func() []pointSpec {
+	e := &Experiment{name: "boom", desc: "test", build: func([]StackSpec) []pointSpec {
 		return []pointSpec{{Key: "p0", Run: func() (Values, error) { panic("kaboom") }}}
 	}}
 	res := Run(e, RunOptions{Workers: 2})

@@ -17,6 +17,10 @@ import (
 type RunOptions struct {
 	// Workers bounds concurrent points; <= 0 means GOMAXPROCS.
 	Workers int
+	// Stacks is the lineup the lineup-driven sweeps decompose over
+	// (smtexp -stacks); nil or empty means DefaultLineup. A spec that
+	// cannot be built fails its points with Result.Err.
+	Stacks []StackSpec
 	// OnResult, when non-nil, observes each result as it completes
 	// (completion order, not point order). It is called from worker
 	// goroutines and must be safe for concurrent use.
@@ -83,13 +87,14 @@ func ForEach(n, workers int, fn func(i int)) {
 	}
 }
 
-// RunPoints runs the given points of an experiment and returns their
-// results in the order the points were given, regardless of worker
-// count or completion order.
-func RunPoints(e Experiment, pts []Point, opts RunOptions) []Result {
+// RunPoints runs the given points of an experiment, decomposed over
+// opts.Stacks, and returns their results in the order the points were
+// given, regardless of worker count or completion order.
+func RunPoints(e *Experiment, pts []Point, opts RunOptions) []Result {
+	specs := e.build(lineupOrDefault(opts.Stacks))
 	results := make([]Result, len(pts))
 	ForEach(len(pts), opts.workers(), func(i int) {
-		results[i] = e.Run(pts[i])
+		results[i] = e.runPoint(specs, pts[i])
 		if opts.OnResult != nil {
 			opts.OnResult(results[i])
 		}
@@ -98,8 +103,8 @@ func RunPoints(e Experiment, pts []Point, opts RunOptions) []Result {
 }
 
 // Run runs every point of an experiment.
-func Run(e Experiment, opts RunOptions) []Result {
-	return RunPoints(e, e.Points(), opts)
+func Run(e *Experiment, opts RunOptions) []Result {
+	return RunPoints(e, e.Points(opts.Stacks), opts)
 }
 
 // ExperimentRun is one experiment's complete, ordered result set plus
@@ -115,7 +120,7 @@ type ExperimentRun struct {
 // run sequentially; each experiment's points fan out across the pool.
 // An unknown name is an error (reported before anything runs).
 func RunNamed(names []string, opts RunOptions) ([]ExperimentRun, error) {
-	exps := make([]Experiment, len(names))
+	exps := make([]*Experiment, len(names))
 	for i, n := range names {
 		e, ok := Lookup(n)
 		if !ok {

@@ -16,46 +16,10 @@ import (
 // Fig10Sizes are the x-axis RPC sizes of Figure 10.
 var Fig10Sizes = []int{64, 256, 1024, 4096, 16384}
 
-// Fig10 reproduces Figure 10: unloaded RTT of TCPLS vs SMT-sw/SMT-hw.
-func Fig10() ([]RTTRow, error) {
-	systems := []System{tcplsSystem(), smtSystem(false), smtSystem(true)}
-	var rows []RTTRow
-	for _, size := range Fig10Sizes {
-		for _, sys := range systems {
-			r, err := MeasureRTT(sys, size, 0, false, 77)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
-}
-
 // --- Figure 11: effect of TSO ---
 
 // Fig11Sizes are the x-axis RPC sizes of Figure 11.
 var Fig11Sizes = []int{512, 1024, 2048, 4096, 8192}
-
-// Fig11 reproduces Figure 11: SMT-hw with TSO vs software segmentation.
-func Fig11() ([]RTTRow, error) {
-	var rows []RTTRow
-	for _, size := range Fig11Sizes {
-		withTSO, err := MeasureRTT(smtSystem(true), size, 0, false, 88)
-		if err != nil {
-			return nil, err
-		}
-		withTSO.System = "SMT-HW-TSO"
-		rows = append(rows, withTSO)
-		noTSO, err := MeasureRTT(smtSystem(true), size, 0, true, 88)
-		if err != nil {
-			return nil, err
-		}
-		noTSO.System = "SMT-HW-w/o-TSO"
-		rows = append(rows, noTSO)
-	}
-	return rows, nil
-}
 
 // --- Figure 2: autonomous-offload resync semantics ---
 
@@ -67,8 +31,9 @@ type Fig2Row struct {
 	Resyncs   uint64
 }
 
-// fig2Scenarios is the Figure 2 scenario grid, shared by the serial
-// driver and the registry sweep.
+// fig2Scenarios is the Figure 2 scenario grid: in-sequence segments
+// encrypt correctly; an out-of-sequence segment is corrupted; a resync
+// descriptor repairs the counter.
 var fig2Scenarios = []struct {
 	name   string
 	seq    uint64
@@ -118,17 +83,6 @@ func Fig2Scenario(i int) Fig2Row {
 	}
 	s := fig2Scenarios[i]
 	return run(s.name, s.seq, s.resync)
-}
-
-// Fig2 demonstrates Figure 2 on the NIC model: in-sequence segments
-// encrypt correctly; an out-of-sequence segment is corrupted; a resync
-// descriptor repairs the counter.
-func Fig2() []Fig2Row {
-	rows := make([]Fig2Row, len(fig2Scenarios))
-	for i := range fig2Scenarios {
-		rows[i] = Fig2Scenario(i)
-	}
-	return rows
 }
 
 // --- Figure 5 / Table 1 ---

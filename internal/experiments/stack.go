@@ -223,23 +223,6 @@ func BuildSystem(spec StackSpec) (System, error) {
 	return f.System(), nil
 }
 
-// MustBuildFabric is BuildFabric for specs known buildable (the
-// registered lineups); it panics on error, which for those specs is a
-// programming error caught by the cross-product smoke test.
-func MustBuildFabric(spec StackSpec) FabricSystem {
-	f, err := BuildFabric(spec)
-	if err != nil {
-		//smt:allow panic -- Must-prefixed escalation for registered (pre-validated) specs; arbitrary specs go through BuildFabric
-		panic("experiments: " + err.Error())
-	}
-	return f
-}
-
-// MustBuildSystem is BuildSystem's panicking twin for registered specs.
-func MustBuildSystem(spec StackSpec) System {
-	return MustBuildFabric(spec).System()
-}
-
 // --- the named-stack registry ---
 
 var (
@@ -324,9 +307,9 @@ func mustStack(name string) StackSpec {
 	return s
 }
 
-// DefaultLineup is the six-stack lineup of the §5 figures, in the
-// Fig6Systems order. Its registry artifacts are pinned bit-identical by
-// TestGoldenTwoHostRTT and the determinism battery.
+// DefaultLineup is the six-stack lineup of the §5 figures. Its registry
+// artifacts are pinned bit-identical by TestGoldenTwoHostRTT and the
+// determinism battery.
 func DefaultLineup() []StackSpec {
 	return []StackSpec{
 		mustStack("TCP"), mustStack("kTLS-sw"), mustStack("kTLS-hw"),
@@ -344,50 +327,21 @@ func RedisLineup() []StackSpec {
 	}
 }
 
-// --- lineup selection ---
-
-var (
-	lineupMu     sync.RWMutex
-	activeLineup []StackSpec // nil = DefaultLineup
-)
-
-// Lineup returns the stacks the lineup-driven experiments (fig6, fig7,
-// fig9, incast, multiclient, loadsweep) sweep: DefaultLineup unless
-// SetLineup installed a selection.
-func Lineup() []StackSpec {
-	lineupMu.RLock()
-	defer lineupMu.RUnlock()
-	if activeLineup == nil {
+// lineupOrDefault resolves a lineup selection (RunOptions.Stacks);
+// nil or empty means DefaultLineup.
+func lineupOrDefault(stacks []StackSpec) []StackSpec {
+	if len(stacks) == 0 {
 		return DefaultLineup()
 	}
-	return append([]StackSpec(nil), activeLineup...)
-}
-
-// SetLineup installs the lineup the sweeping experiments decompose
-// over (smtexp -stacks, smtbench -stacks); nil or empty restores the
-// default. Every spec must be buildable. Call it before enumerating or
-// running experiments, not concurrently with a run — an experiment's
-// point list must stay stable for the duration of a run.
-func SetLineup(specs []StackSpec) error {
-	for _, s := range specs {
-		if _, err := BuildFabric(s); err != nil {
-			return err
-		}
-	}
-	lineupMu.Lock()
-	defer lineupMu.Unlock()
-	if len(specs) == 0 {
-		activeLineup = nil
-		return nil
-	}
-	activeLineup = append([]StackSpec(nil), specs...)
-	return nil
+	return stacks
 }
 
 // ParseStacks resolves a comma-separated stack-name list ("TCP,
-// TCPLS, SMT-hw", case-insensitive) against the registry.
+// TCPLS, SMT-hw", case-insensitive) against the registry. A name may
+// appear once: a repeat would emit every point key of a sweep twice.
 func ParseStacks(arg string) ([]StackSpec, error) {
 	var specs []StackSpec
+	seen := map[string]bool{}
 	for _, n := range strings.Split(arg, ",") {
 		n = strings.TrimSpace(n)
 		if n == "" {
@@ -397,6 +351,10 @@ func ParseStacks(arg string) ([]StackSpec, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown stack %q (have: %s)", n, strings.Join(StackNames(), ", "))
 		}
+		if seen[s.Name] {
+			return nil, fmt.Errorf("stack %q listed twice in %q", n, arg)
+		}
+		seen[s.Name] = true
 		specs = append(specs, s)
 	}
 	if len(specs) == 0 {

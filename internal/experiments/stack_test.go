@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -118,7 +120,7 @@ var echoSmokeSizes = []int{64, 4096, 40000}
 // ForEach worker goroutines, so failures panic (which ForEach
 // propagates into the test) rather than calling Fatalf off-goroutine.
 func runEchoSmoke(spec StackSpec, w *World) map[int]uint64 {
-	sys := MustBuildFabric(spec)
+	sys := must(BuildFabric(spec))
 	clients := w.ClientHosts()
 	var loops []*rpc.ClosedLoop
 	issue, err := sys.Setup(w, clients, w.Server,
@@ -198,9 +200,9 @@ func TestStackCrossProductSmoke(t *testing.T) {
 	}
 }
 
-// TestStackLineupSelection pins the SetLineup/ParseStacks path smtexp
-// -stacks drives: the lineup experiments re-decompose over the
-// selection and restore to the default (and its point keys) afterwards.
+// TestStackLineupSelection pins the ParseStacks/RunOptions.Stacks path
+// smtexp -stacks drives: a lineup-driven experiment decomposes over the
+// stacks it is handed, and nil is the default lineup.
 func TestStackLineupSelection(t *testing.T) {
 	specs, err := ParseStacks("tcpls, TLS ,SMT-hw")
 	if err != nil {
@@ -212,37 +214,79 @@ func TestStackLineupSelection(t *testing.T) {
 	if _, err := ParseStacks("TCP,warpstream"); err == nil || !strings.Contains(err.Error(), "warpstream") {
 		t.Fatalf("unknown stack should be named in the error, got %v", err)
 	}
-
-	if err := SetLineup(specs); err != nil {
-		t.Fatal(err)
+	// A repeat, compared case-insensitively, would emit every point key
+	// of a sweep twice.
+	if _, err := ParseStacks("TCP,tcp"); err == nil || !strings.Contains(err.Error(), `"tcp" listed twice`) {
+		t.Fatalf("duplicate stack should be named in the error, got %v", err)
 	}
-	defer func() {
-		if err := SetLineup(nil); err != nil {
-			t.Fatal(err)
-		}
-	}()
+
 	fig6, _ := Lookup("fig6")
-	pts := fig6.Points()
+	pts := fig6.Points(specs)
 	if want := len(Fig6Sizes) * 3; len(pts) != want {
 		t.Fatalf("fig6 over 3-stack lineup has %d points, want %d", len(pts), want)
 	}
 	if !strings.Contains(pts[0].Key, "sys=TCPLS") {
 		t.Errorf("first point %q should sweep TCPLS first", pts[0].Key)
 	}
-	// An unbuildable spec cannot become the lineup.
-	if err := SetLineup([]StackSpec{{Transport: TransportHoma, Record: RecordTCPLS}}); err == nil {
-		t.Error("SetLineup accepted an unbuildable spec")
-	}
-
-	if err := SetLineup(nil); err != nil {
-		t.Fatal(err)
-	}
-	pts = fig6.Points()
+	pts = fig6.Points(nil)
 	if want := len(Fig6Sizes) * len(DefaultLineup()); len(pts) != want {
-		t.Fatalf("default lineup not restored: %d points, want %d", len(pts), want)
+		t.Fatalf("nil lineup is not the default: %d points, want %d", len(pts), want)
 	}
 	if !strings.Contains(pts[0].Key, "sys=TCP/") {
 		t.Errorf("default first point %q changed", pts[0].Key)
+	}
+
+	// An unbuildable spec fails every point of every lineup-driven
+	// sweep with an error naming its record layer; it never panics the
+	// runner.
+	bad := []StackSpec{{Name: "homa+tcpls", Transport: TransportHoma, Record: RecordTCPLS}}
+	for _, name := range []string{"fig6", "fig7", "fig9", "incast", "multiclient", "loadsweep", "churn"} {
+		e, _ := Lookup(name)
+		res := Run(e, RunOptions{Workers: 2, Stacks: bad})
+		if len(res) == 0 {
+			t.Errorf("%s: no points over the unbuildable lineup", name)
+		}
+		for _, r := range res {
+			if !strings.Contains(r.Err, `"tcpls"`) {
+				t.Errorf("%s %s: want an error naming the record layer, got %q", name, r.Key, r.Err)
+			}
+		}
+	}
+
+	// The lineup is an argument, not process state: two runs over
+	// different lineups at the same time each get exactly their own
+	// point keys. Only the 64 B cells run, to stay cheap under -race.
+	for _, tc := range []struct {
+		name   string
+		stacks []StackSpec
+	}{
+		{"TCPLS+SMT-hw", []StackSpec{mustStack("TCPLS"), mustStack("SMT-hw")}},
+		{"default", nil},
+	} {
+		t.Run("concurrent/"+tc.name, func(t *testing.T) {
+			t.Parallel()
+			lineup := lineupOrDefault(tc.stacks)
+			var want []string
+			for _, size := range Fig6Sizes {
+				for _, s := range lineup {
+					want = append(want, fmt.Sprintf("sys=%s/size=%d", s.Name, size))
+				}
+			}
+			pts := fig6.Points(tc.stacks)
+			var keys []string
+			for _, p := range pts {
+				keys = append(keys, p.Key)
+			}
+			if !reflect.DeepEqual(keys, want) {
+				t.Fatalf("points %v, want %v", keys, want)
+			}
+			res := RunPoints(fig6, pts[:len(lineup)], RunOptions{Workers: 2, Stacks: tc.stacks})
+			for i, r := range res {
+				if r.Err != "" || r.Key != want[i] || r.Values["mean_rtt_ns"] <= 0 {
+					t.Errorf("result %d: key %q err %q values %v, want key %q", i, r.Key, r.Err, r.Values, want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -263,7 +307,7 @@ func TestStackFabricSeparation(t *testing.T) {
 	rows := map[string]IncastRow{}
 	var mu sync.Mutex
 	ForEach(len(names), 0, func(i int) {
-		r := must(MeasureIncast(MustBuildFabric(mustStack(names[i])), 3, 65536, 9003))
+		r := must(MeasureIncast(must(BuildFabric(mustStack(names[i]))), 3, 65536, 9003))
 		mu.Lock()
 		rows[r.System] = r
 		mu.Unlock()

@@ -13,13 +13,14 @@
 //
 //   - cmd/smtexp: list/run experiments by name, JSON artifacts, lineup
 //     selection via -stacks.
-//   - Registry API: Lookup/Names/All, Run/RunPoints/RunNamed, and the
-//     stack registry (stack.go): StackSpec, BuildFabric, Lineup.
+//   - Registry API: Lookup/Names/All, Run/RunPoints/RunNamed (the
+//     lineup is RunOptions.Stacks), and the stack registry (stack.go):
+//     StackSpec, BuildFabric, DefaultLineup.
 //   - Typed measurement functions (MeasureRTT, MeasureThroughput,
-//     MeasureRedis, MeasureIncast, ...) and serial drivers (Fig6(),
-//     Fig7(), Incast(), ...) that return plain row structs, used by
-//     cmd/smtbench and the shape tests; the registry wraps exactly
-//     these, so both paths produce identical numbers.
+//     MeasureRedis, MeasureIncast, ...) that return plain row structs.
+//     Each registered sweep (register.go) is the one definition of its
+//     grid and seeds over these; shape tests and benchmarks call them
+//     directly or run a filtered subset of the registry's points.
 //
 // The systems under test are composed, not hardwired: a StackSpec names
 // a transport × record-layer cell and BuildFabric assembles it from the
@@ -164,7 +165,7 @@ type FabricConfig struct {
 // server and one client endpoint per host in clients, and returns an
 // issuer addressed by (client, stream). The two-host System of the §5
 // figures is the clients=[Hosts[0]] special case (see System()).
-// FabricSystems are composed from StackSpecs by BuildFabric (stack.go).
+// A FabricSystem is composed from a StackSpec by BuildFabric (stack.go).
 type FabricSystem struct {
 	Name string
 	// Setup wires the echo service on server and a client endpoint on
@@ -387,41 +388,6 @@ func tcpFabricFamily(name string, rec *streamRecord) FabricSystem {
 		}, nil
 	}}
 }
-
-// --- registered-lineup conveniences ---
-
-// FabricSystems builds the active lineup (Lineup(), default: the six
-// systems of the §5 figures) generalized to N hosts, in lineup order.
-func FabricSystems() []FabricSystem {
-	lineup := Lineup()
-	systems := make([]FabricSystem, len(lineup))
-	for i, spec := range lineup {
-		systems[i] = MustBuildFabric(spec)
-	}
-	return systems
-}
-
-// Fig6Systems is the active lineup's two-host adapters (default: the
-// §5.1/§5.2 six-system lineup).
-func Fig6Systems() []System {
-	lineup := Lineup()
-	systems := make([]System, len(lineup))
-	for i, spec := range lineup {
-		systems[i] = MustBuildSystem(spec)
-	}
-	return systems
-}
-
-// smtSystem builds the two-host SMT stack (fig7mtu, fig10, fig11).
-func smtSystem(hw bool) System {
-	if hw {
-		return MustBuildSystem(mustStack("SMT-hw"))
-	}
-	return MustBuildSystem(mustStack("SMT-sw"))
-}
-
-// tcplsSystem builds the two-host TCPLS stack (fig10).
-func tcplsSystem() System { return MustBuildSystem(mustStack("TCPLS")) }
 
 // mtuOrDefault resolves an MTU argument.
 func mtuOrDefault(mtu int) int {
