@@ -168,11 +168,12 @@ func runExperiments(arg string, lineup []experiments.StackSpec, workers int, jso
 
 // settleAudit drains every audited world and settles the wire audit:
 // quiescence, the auditor's invariant set, byte conservation, and
-// packet-pool leak-freedom. Individual violations print to stderr
-// (capped by the auditor's recording bound) above a one-line summary.
+// leak-freedom of the packet and message-buffer pools. Individual
+// violations print to stderr (capped by the auditor's recording bound)
+// above a one-line summary.
 func settleAudit() error {
 	worlds := experiments.TakeAuditedWorlds()
-	var violations, leaked, stuck int
+	var violations, leaked, leakedBufs, stuck int
 	var pkts uint64
 	for _, w := range worlds {
 		if !w.DrainQuiesce(2 * sim.Second) {
@@ -184,14 +185,15 @@ func settleAudit() error {
 		pkts += st.Packets
 		violations += int(st.TotalViolations)
 		leaked += w.Net.OutstandingPackets()
+		leakedBufs += w.Net.Bufs().Outstanding()
 		for _, v := range w.Audit.Violations() {
 			fmt.Fprintln(os.Stderr, "audit:", v.String())
 		}
 	}
-	fmt.Fprintf(os.Stderr, "audit: %d worlds, %d packets observed, %d violations, %d leaked packets, %d worlds failed to quiesce\n",
-		len(worlds), pkts, violations, leaked, stuck)
-	if violations > 0 || leaked > 0 || stuck > 0 {
-		return fmt.Errorf("audit failed: %d violations, %d leaked packets, %d worlds failed to quiesce", violations, leaked, stuck)
+	fmt.Fprintf(os.Stderr, "audit: %d worlds, %d packets observed, %d violations, %d leaked packets, %d leaked message buffers, %d worlds failed to quiesce\n",
+		len(worlds), pkts, violations, leaked, leakedBufs, stuck)
+	if violations > 0 || leaked > 0 || leakedBufs > 0 || stuck > 0 {
+		return fmt.Errorf("audit failed: %d violations, %d leaked packets, %d leaked message buffers, %d worlds failed to quiesce", violations, leaked, leakedBufs, stuck)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"smt/internal/cpusim"
 	"smt/internal/homa"
 	"smt/internal/netsim"
+	"smt/internal/rpc"
 	"smt/internal/sim"
 	"smt/internal/tlsrec"
 	"smt/internal/wire"
@@ -57,7 +58,7 @@ func testEncryptedDelivery(t *testing.T, hw bool) {
 	w := newWorld(1)
 	cli, srv := pair(t, w, hw)
 	var got []byte
-	srv.OnMessage(func(d homa.Delivery) { got = d.Payload })
+	srv.OnMessage(func(d homa.Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := pattern(5000)
 	w.eng.At(0, func() { cli.Send(2, 443, msg, 0) })
 	w.eng.Run()
@@ -96,7 +97,7 @@ func TestMultiSegmentLargeMessage(t *testing.T) {
 		w := newWorld(3)
 		cli, srv := pair(t, w, hw)
 		var got []byte
-		srv.OnMessage(func(d homa.Delivery) { got = d.Payload })
+		srv.OnMessage(func(d homa.Delivery) { got = append([]byte(nil), d.Payload...) })
 		msg := pattern(300_000) // 5 segments, 19 records
 		w.eng.At(0, func() { cli.Send(2, 443, msg, 0) })
 		w.eng.Run()
@@ -112,7 +113,7 @@ func TestLossRecoveryEncrypted(t *testing.T) {
 		w.net.LossProb = 0.05
 		cli, srv := pair(t, w, hw)
 		var got []byte
-		srv.OnMessage(func(d homa.Delivery) { got = d.Payload })
+		srv.OnMessage(func(d homa.Delivery) { got = append([]byte(nil), d.Payload...) })
 		msg := pattern(150_000)
 		w.eng.At(0, func() { cli.Send(2, 443, msg, 0) })
 		w.eng.RunUntil(2 * sim.Second)
@@ -206,7 +207,7 @@ func TestHWOffloadProducesValidRecords(t *testing.T) {
 	w := newWorld(8)
 	cli, srv := pair(t, w, true)
 	var got []byte
-	srv.OnMessage(func(d homa.Delivery) { got = d.Payload })
+	srv.OnMessage(func(d homa.Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := pattern(40_000) // one segment, 3 records
 	w.eng.At(0, func() { cli.Send(2, 443, msg, 0) })
 	w.eng.Run()
@@ -296,7 +297,7 @@ func TestPaddingConcealsSizes(t *testing.T) {
 		w.b.NIC.OnRx(p)
 	})
 	var got []byte
-	srv.OnMessage(func(d homa.Delivery) { got = d.Payload })
+	srv.OnMessage(func(d homa.Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := pattern(100)
 	w.eng.At(0, func() { cli.Send(2, 443, msg, 0) })
 	w.eng.Run()
@@ -436,5 +437,50 @@ func TestNewCodecValidation(t *testing.T) {
 	keys := SessionKeys{TxKey: testKey(1, 0), TxIV: testIV(1, 1), RxKey: testKey(1, 2), RxIV: testIV(1, 3)}
 	if _, err := NewCodec(cm, keys, tlsrec.BitAllocation{MsgIDBits: 10, RecIdxBits: 10}, false, 0, 0); err == nil {
 		t.Fatal("invalid allocation accepted")
+	}
+}
+
+// TestSendBufferReuseUnderLoss pins Send's copy contract on the
+// encrypted transport, in software and with NIC offload: the caller may
+// overwrite its buffer as soon as Send returns, and every transmission
+// — retransmissions re-encrypted after loss included — authenticates
+// and carries the bytes as they were at the call. Once every message is
+// acknowledged, every message buffer is back in the pool.
+func TestSendBufferReuseUnderLoss(t *testing.T) {
+	for _, hw := range []bool{false, true} {
+		w := newWorld(5)
+		cli, srv := pair(t, w, hw)
+		w.net.LossProb = 0.05
+		const n = 6
+		var delivered, valid int
+		srv.OnMessage(func(d homa.Delivery) {
+			delivered++
+			if rpc.BodyValid(d.Payload) {
+				valid++
+			}
+		})
+		var buf []byte
+		w.eng.At(0, func() {
+			for i := 0; i < n; i++ {
+				buf = rpc.AppendEncode(buf, uint64(i), 0, 100_000)
+				cli.Send(2, 443, buf, i)
+				for j := range buf {
+					buf[j] = 0xff
+				}
+			}
+		})
+		w.eng.RunUntil(2 * sim.Second)
+		if delivered != n || valid != n {
+			t.Fatalf("hw=%v: delivered %d messages, %d with intact bodies; want %d", hw, delivered, valid, n)
+		}
+		if cli.Stats.Retransmits == 0 {
+			t.Fatalf("hw=%v: no retransmission: the loss did not exercise the retransmit path", hw)
+		}
+		if out := w.net.Bufs().Outstanding(); out != 0 {
+			t.Errorf("hw=%v: %d message buffers outstanding after every message was acknowledged", hw, out)
+		}
+		if out := w.net.OutstandingPackets(); out != 0 {
+			t.Errorf("hw=%v: %d packets outstanding", hw, out)
+		}
 	}
 }

@@ -41,7 +41,7 @@ func auditWorldsOf(t *testing.T, e *Experiment, pt Point) []*World {
 // experiment's points with the auditor attached to every world built,
 // then drains each world and asserts the full invariant set: zero
 // violations (plaintext, nonce/keystream reuse, framing), conservation
-// at quiescence, and an empty packet pool.
+// at quiescence, and empty packet and message-buffer pools.
 func TestAuditorGreenAcrossRegistry(t *testing.T) {
 	maxPts := 3
 	if testing.Short() {
@@ -71,6 +71,9 @@ func TestAuditorGreenAcrossRegistry(t *testing.T) {
 					}
 					if n := w.Net.OutstandingPackets(); n != 0 {
 						t.Errorf("%s: %d pooled packets outstanding at quiescence", pt.Key, n)
+					}
+					if n := w.Net.Bufs().Outstanding(); n != 0 {
+						t.Errorf("%s: %d message buffers outstanding at quiescence", pt.Key, n)
 					}
 				}
 			}

@@ -68,6 +68,9 @@ func TestChurnAudited(t *testing.T) {
 				if n := w.Net.OutstandingPackets(); n != 0 {
 					t.Errorf("%d pooled packets outstanding at quiescence", n)
 				}
+				if n := w.Net.Bufs().Outstanding(); n != 0 {
+					t.Errorf("%d message buffers outstanding at quiescence", n)
+				}
 			}
 			t.Logf("%s/%s @%.0f/s: dials=%d est=%d done=%d setup p50=%.0fµs p99=%.0fµs hsCPU=%.1f%% hit=%.2f",
 				r.System, r.Policy, r.Rate, r.Dials, r.Established, r.Completed,

@@ -98,12 +98,14 @@ func TestDeterminismCoverage(t *testing.T) {
 }
 
 // TestPacketPoolLeakFreedom asserts, for every registered experiment,
-// that a drained world returns every pooled packet: the zero-allocation
-// data path (PR 5) recycles packets through wire.PacketPool, so any
-// code path that loses a reference (a dropped retransmit, an abandoned
-// reassembly, a dead connection's queue) shows up here as a nonzero
-// outstanding count. Uses the audit hook only to capture the worlds a
-// point builds; the assertion is about the pool, not the tap.
+// that a drained world returns every pooled packet and every message
+// buffer: the allocation-free data path recycles packets through
+// wire.PacketPool and message bytes through wire.BufPool, so any code
+// path that loses a reference (a dropped retransmit, an abandoned
+// reassembly, a dead connection's queue, a segment the NIC never
+// released) shows up here as a nonzero outstanding count. Uses the
+// audit hook only to capture the worlds a point builds; the assertion
+// is about the pools, not the tap.
 func TestPacketPoolLeakFreedom(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -119,6 +121,9 @@ func TestPacketPoolLeakFreedom(t *testing.T) {
 					}
 					if n := w.Net.OutstandingPackets(); n != 0 {
 						t.Errorf("%s: %d pooled packets still outstanding after drain", pt.Key, n)
+					}
+					if n := w.Net.Bufs().Outstanding(); n != 0 {
+						t.Errorf("%s: %d message buffers still outstanding after drain", pt.Key, n)
 					}
 				}
 			}

@@ -52,7 +52,7 @@ type Segment struct {
 	Resync  bool
 	// Release, when non-nil, recycles the segment (and any codec-owned
 	// payload scratch backing it) once the NIC has copied the payload
-	// out. The transport threads it through to nicsim.TxSegment.Release;
+	// out. The transport runs it from its nicsim.TxSegment.Release hook;
 	// after it runs, Payload and Records must not be touched.
 	Release func()
 }
@@ -81,9 +81,9 @@ func (c *PlainCodec) SegSpan() int {
 // WireLen implements Codec: identity.
 func (c *PlainCodec) WireLen(off, n int) int { return n }
 
-// Encode implements Codec: the segment payload aliases the message bytes
-// (the transport keeps them alive until the message is acknowledged, so
-// the NIC's zero-copy cut is safe; Release stays nil).
+// Encode implements Codec: the segment payload aliases the message bytes.
+// The transport holds the message buffer for the segment until the NIC's
+// TSO cut has copied it into packets, so Release stays nil.
 func (c *PlainCodec) Encode(msgID uint64, msg []byte, off, n, queue int, retransmit bool) (*Segment, sim.Time) {
 	//smt:allow hotalloc -- per-segment descriptor aliasing the message bytes; the plaintext baseline's only per-segment cost
 	return &Segment{Payload: msg[off : off+n]}, 0

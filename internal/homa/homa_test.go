@@ -7,6 +7,7 @@ import (
 	"smt/internal/cost"
 	"smt/internal/cpusim"
 	"smt/internal/netsim"
+	"smt/internal/rpc"
 	"smt/internal/sim"
 	"smt/internal/wire"
 )
@@ -41,7 +42,10 @@ func TestSingleSmallMessage(t *testing.T) {
 	srv := NewSocket(w.b, Config{Port: 100}, nil)
 	cli := NewSocket(w.a, Config{}, nil)
 	var got []Delivery
-	srv.OnMessage(func(d Delivery) { got = append(got, d) })
+	srv.OnMessage(func(d Delivery) {
+		d.Payload = append([]byte(nil), d.Payload...)
+		got = append(got, d)
+	})
 
 	msg := pattern(64)
 	w.eng.At(0, func() { cli.Send(2, 100, msg, 0) })
@@ -98,7 +102,7 @@ func TestMultiSegmentMessageUsesGrants(t *testing.T) {
 	srv := NewSocket(w.b, Config{Port: 100}, nil)
 	cli := NewSocket(w.a, Config{}, nil)
 	var got []byte
-	srv.OnMessage(func(d Delivery) { got = d.Payload })
+	srv.OnMessage(func(d Delivery) { got = append([]byte(nil), d.Payload...) })
 
 	msg := pattern(500 * 1000) // 500 KB, well beyond unscheduled bytes
 	w.eng.At(0, func() { cli.Send(2, 100, msg, 0) })
@@ -134,7 +138,7 @@ func TestLossRecovery(t *testing.T) {
 	srv := NewSocket(w.b, Config{Port: 100}, nil)
 	cli := NewSocket(w.a, Config{}, nil)
 	var got [][]byte
-	srv.OnMessage(func(d Delivery) { got = append(got, d.Payload) })
+	srv.OnMessage(func(d Delivery) { got = append(got, append([]byte(nil), d.Payload...)) })
 
 	msgs := [][]byte{pattern(64), pattern(20000), pattern(120000)}
 	w.eng.At(0, func() {
@@ -202,7 +206,7 @@ func TestReorderTolerance(t *testing.T) {
 	srv := NewSocket(w.b, Config{Port: 100}, nil)
 	cli := NewSocket(w.a, Config{}, nil)
 	var got []byte
-	srv.OnMessage(func(d Delivery) { got = d.Payload })
+	srv.OnMessage(func(d Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := pattern(50000)
 	w.eng.At(0, func() { cli.Send(2, 100, msg, 0) })
 	w.eng.RunUntil(1 * sim.Second)
@@ -216,7 +220,7 @@ func TestNoTSOVariantDelivers(t *testing.T) {
 	srv := NewSocket(w.b, Config{Port: 100}, nil)
 	cli := NewSocket(w.a, Config{NoTSO: true}, nil)
 	var got []byte
-	srv.OnMessage(func(d Delivery) { got = d.Payload })
+	srv.OnMessage(func(d Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := pattern(8192)
 	w.eng.At(0, func() { cli.Send(2, 100, msg, 0) })
 	w.eng.Run()
@@ -230,7 +234,7 @@ func TestJumboMTU(t *testing.T) {
 	srv := NewSocket(w.b, Config{Port: 100, MTU: wire.JumboMTU}, nil)
 	cli := NewSocket(w.a, Config{MTU: wire.JumboMTU}, nil)
 	var got []byte
-	srv.OnMessage(func(d Delivery) { got = d.Payload })
+	srv.OnMessage(func(d Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := pattern(8192)
 	w.eng.At(0, func() { cli.Send(2, 100, msg, 0) })
 	w.eng.Run()
@@ -330,5 +334,48 @@ func TestStringer(t *testing.T) {
 	s := NewSocket(w.a, Config{}, nil)
 	if s.String() == "" || s.Host() != w.a || s.Config().MTU == 0 {
 		t.Fatal("accessors broken")
+	}
+}
+
+// TestSendBufferReuseUnderLoss pins Send's copy contract: the caller may
+// overwrite its buffer as soon as Send returns, and every transmission
+// of the message — RESEND and timer retransmissions after loss included
+// — carries the bytes as they were at the call. Once every message is
+// acknowledged, every message buffer is back in the pool.
+func TestSendBufferReuseUnderLoss(t *testing.T) {
+	w := newWorld(5)
+	w.net.LossProb = 0.05
+	srv := NewSocket(w.b, Config{Port: 100}, nil)
+	cli := NewSocket(w.a, Config{}, nil)
+	const n = 6
+	var delivered, valid int
+	srv.OnMessage(func(d Delivery) {
+		delivered++
+		if rpc.BodyValid(d.Payload) {
+			valid++
+		}
+	})
+	var buf []byte
+	w.eng.At(0, func() {
+		for i := 0; i < n; i++ {
+			buf = rpc.AppendEncode(buf, uint64(i), 0, 100_000)
+			cli.Send(2, 100, buf, i)
+			for j := range buf {
+				buf[j] = 0xff
+			}
+		}
+	})
+	w.eng.RunUntil(2 * sim.Second)
+	if delivered != n || valid != n {
+		t.Fatalf("delivered %d messages, %d with intact bodies; want %d", delivered, valid, n)
+	}
+	if cli.Stats.Retransmits == 0 {
+		t.Fatal("no retransmission: the loss did not exercise the retransmit path")
+	}
+	if out := w.net.Bufs().Outstanding(); out != 0 {
+		t.Errorf("%d message buffers outstanding after every message was acknowledged", out)
+	}
+	if out := w.net.OutstandingPackets(); out != 0 {
+		t.Errorf("%d packets outstanding", out)
 	}
 }

@@ -228,7 +228,7 @@ func (s *Socket) newInMsg(p *peer, pkt *wire.Packet, core int) *inMsg {
 		//smt:allow hotalloc -- per-message reassembly state; counted in the steady-state alloc budget
 		m.segs = append(m.segs, &inSeg{
 			plainOff: off, plainLen: n, wireLen: wl,
-			buf: s.getSegBuf(wl),
+			buf: s.host.NIC.Bufs().Get(wl),
 			//smt:allow hotalloc -- per-segment arrival bitmap, sized by wire length; freed with the message
 			have: make([]bool, nPkts(wl, s.cfg.MTU)),
 		})
@@ -308,8 +308,9 @@ func (s *Socket) complete(p *peer, m *inMsg, core int) {
 }
 
 // deliverEvent is the pooled wakeup callback for a completed message:
-// the app context decodes (and decrypts) the segments, returns the
-// reassembly buffers and hands the payload to the application.
+// the app context decodes (and decrypts) the segments into a pool
+// buffer, returns the reassembly buffers and lends the payload to the
+// application for the duration of its callback.
 type deliverEvent struct {
 	s      *Socket
 	p      *peer
@@ -327,12 +328,13 @@ func (d *deliverEvent) Run() {
 	// Decode (and decrypt) each segment, summing the CPU the app
 	// context owes; a corrupted segment re-enters recovery.
 	var cpu sim.Time = cm.Syscall + cm.MsgDeliver + cm.Copy(m.msgLen)
-	//smt:allow hotalloc -- per-delivery payload buffer; ownership passes to the app, so it cannot be pooled
-	payload := make([]byte, 0, m.msgLen)
+	pool := s.host.NIC.Bufs()
+	payload := pool.Get(m.msgLen)[:0]
 	for _, seg := range m.segs {
 		plain, c, err := p.codec.Decode(m.id, m.msgLen, seg.plainOff, seg.buf[:seg.wireLen])
 		cpu += c
 		if err != nil {
+			pool.Put(payload)
 			s.corruptSegment(p, m, seg, core)
 			return
 		}
@@ -345,7 +347,7 @@ func (d *deliverEvent) Run() {
 	// Every segment decoded (and its plaintext copied into payload):
 	// the reassembly buffers go back to the pool.
 	for _, seg := range m.segs {
-		s.segBufFree = append(s.segBufFree, seg.buf)
+		pool.Put(seg.buf)
 		seg.buf = nil
 	}
 	//smt:allow hotalloc -- per-delivery app completion closure; counted in the steady-state alloc budget
@@ -359,6 +361,7 @@ func (d *deliverEvent) Run() {
 				AppThread: thread, Recv: s.host.Eng.Now(),
 			})
 		}
+		pool.Put(payload) // borrowed by the callback only
 	})
 }
 
@@ -454,15 +457,16 @@ func (s *Socket) rxResend(pkt *wire.Packet, core int) {
 			continue
 		}
 		n := span
-		if start+n > len(m.payload) {
-			n = len(m.payload) - start
+		if start+n > m.msgLen {
+			n = m.msgLen - start
 		}
 		m.segSent[seg] = true
 		s.submitSegment(p, m, start, n, s.host.SoftirqQueue(core), core, false, true)
 	}
 }
 
-// rxAck frees sender-side message state.
+// rxAck frees sender-side message state and drops the message's hold
+// on its payload.
 func (s *Socket) rxAck(pkt *wire.Packet) {
 	p, ok := s.peers[peerKey{pkt.IP.Src, pkt.Overlay.SrcPort}]
 	if !ok {
@@ -472,5 +476,6 @@ func (s *Socket) rxAck(pkt *wire.Packet) {
 		m.acked = true
 		m.timer.Stop()
 		delete(p.out, pkt.Overlay.MsgID)
+		s.unref(m)
 	}
 }

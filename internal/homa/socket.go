@@ -49,9 +49,13 @@ func DefaultConfig() Config {
 // Delivery is a fully reassembled (and, under SMT, decrypted and
 // verified) incoming message handed to the application.
 type Delivery struct {
-	Src       uint32
-	SrcPort   uint16
-	MsgID     uint64
+	Src     uint32
+	SrcPort uint16
+	MsgID   uint64
+	// Payload is the message, valid only for the duration of the
+	// OnMessage callback: it is a buffer of the world's BufPool that
+	// the transport recycles when the callback returns. A callback that
+	// keeps the bytes copies them.
 	Payload   []byte
 	AppThread int      // thread the delivery ran on
 	Recv      sim.Time // virtual time of delivery to the app
@@ -94,13 +98,13 @@ type Socket struct {
 	// activeIn counts registered-but-undelivered incoming messages,
 	// driving the SRPT bookkeeping cost.
 	activeIn int
-	// rxFree / ctrlFree recycle the pooled softirq callbacks of the
-	// receive path; segBufFree recycles segment reassembly buffers
-	// (returned when a message completes). Single goroutine, no sync.
+	// rxFree / ctrlFree / deliverFree recycle the pooled callbacks of
+	// the receive path, txFree the segments on their way to the NIC.
+	// Single goroutine, no sync.
 	rxFree      []*rxEvent
 	ctrlFree    []*ctrlEvent
 	deliverFree []*deliverEvent
-	segBufFree  [][]byte
+	txFree      []*txSeg
 	// groLastMsg/groLastRx track homa_gro aggregation state.
 	groLastMsg msgKey
 	groLastRx  sim.Time
@@ -217,22 +221,6 @@ func (s *Socket) Close() {
 	}
 }
 
-// getSegBuf takes an n-byte reassembly buffer from the free list. The
-// contents are unspecified: a segment is only decoded once every packet
-// has landed, at which point every byte has been overwritten.
-func (s *Socket) getSegBuf(n int) []byte {
-	if l := len(s.segBufFree); l > 0 {
-		b := s.segBufFree[l-1]
-		s.segBufFree[l-1] = nil
-		s.segBufFree = s.segBufFree[:l-1]
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	//smt:coldpath -- segment-buffer refill or growth; steady state reuses pooled buffers
-	return make([]byte, n)
-}
-
 func (s *Socket) peerFor(pk peerKey) *peer {
 	p, ok := s.peers[pk]
 	if !ok {
@@ -274,9 +262,14 @@ func (s *Socket) SetCodec(addr uint32, port uint16, c Codec) {
 // ---- Send path ----
 
 type outMsg struct {
-	id        uint64
-	pk        peerKey
+	id uint64
+	pk peerKey
+	// payload is the message's copy in the world's BufPool. It is held
+	// by the message itself until the ACK, and by each segment from
+	// Encode until the NIC has cut it; the last hold returns it.
 	payload   []byte
+	msgLen    int
+	refs      int
 	segSent   []bool
 	granted   int
 	acked     bool
@@ -294,7 +287,8 @@ func nSegs(n, span int) int { return (n + span - 1) / span }
 // segments from that context; granted segments follow from softirq
 // context as GRANTs arrive (§3.2's multi-context transmission). The
 // returned message ID identifies the message in this socket→peer
-// direction.
+// direction. payload is copied before Send returns; the caller may
+// reuse it.
 func (s *Socket) Send(dstAddr uint32, dstPort uint16, payload []byte, appThread int) uint64 {
 	if len(payload) == 0 {
 		//smt:allow panic -- Send-API misuse by the harness; an empty message has no wire encoding
@@ -312,13 +306,15 @@ func (s *Socket) Send(dstAddr uint32, dstPort uint16, payload []byte, appThread 
 	//smt:allow hotalloc -- per-message RPC state; counted in the steady-state alloc budget
 	m := &outMsg{
 		id: id, pk: pk,
-		//smt:allow hotalloc -- per-message payload copy models the send-side syscall copy
-		payload: append([]byte(nil), payload...),
+		payload: s.host.NIC.Bufs().Get(len(payload)),
+		msgLen:  len(payload),
+		refs:    1,
 		//smt:allow hotalloc -- per-message segment bitmap; freed with the message
 		segSent:   make([]bool, nSegs(len(payload), p.codec.SegSpan())),
 		granted:   s.cfg.UnschedBytes,
 		appThread: appThread,
 	}
+	copy(m.payload, payload)
 	p.out[id] = m
 	s.Stats.MsgsSent++
 	s.Stats.BytesSent += uint64(len(payload))
@@ -346,11 +342,70 @@ func (s *Socket) pump(p *peer, m *outMsg, queue int, ctxCore int, onApp bool) {
 		}
 		m.segSent[seg] = true
 		n := span
-		if start+n > len(m.payload) {
-			n = len(m.payload) - start
+		if start+n > m.msgLen {
+			n = m.msgLen - start
 		}
 		s.submitSegment(p, m, start, n, queue, ctxCore, onApp, false)
 	}
+}
+
+// unref drops one hold on m's payload; the last returns it to the pool.
+func (s *Socket) unref(m *outMsg) {
+	m.refs--
+	if m.refs == 0 {
+		s.host.NIC.Bufs().Put(m.payload)
+		m.payload = nil
+	}
+}
+
+// txSeg is one encoded segment between Encode and the NIC's TSO cut: the
+// pooled stand-in for a per-segment submit closure. It holds a reference
+// on its message's payload, which a PlainCodec segment aliases, until
+// the NIC has copied the segment out (nicsim.TxSegment.Release).
+type txSeg struct {
+	s          *Socket
+	p          *peer
+	m          *outMsg
+	enc        *Segment
+	off, queue int
+	retransmit bool
+	nic        nicsim.TxSegment // the NIC descriptor of TSO submissions
+	releaseFn  func()           // prebuilt t.release, handed to the NIC
+}
+
+// Run implements sim.Action: the build cost has been charged, submit.
+func (t *txSeg) Run() { t.s.toNIC(t) }
+
+// release runs once the NIC no longer references the segment: it
+// recycles the codec segment, drops the payload hold and frees t.
+func (t *txSeg) release() {
+	s, m, enc := t.s, t.m, t.enc
+	t.p, t.m, t.enc, t.nic = nil, nil, nil, nicsim.TxSegment{}
+	s.txFree = append(s.txFree, t)
+	if enc.Release != nil {
+		enc.Release()
+	}
+	s.unref(m)
+}
+
+// getTxSeg takes a txSeg from the free list.
+func (s *Socket) getTxSeg() *txSeg {
+	if l := len(s.txFree); l > 0 {
+		t := s.txFree[l-1]
+		s.txFree[l-1] = nil
+		s.txFree = s.txFree[:l-1]
+		return t
+	}
+	return s.newTxSeg()
+}
+
+// newTxSeg builds a txSeg with its release hook bound.
+//
+//smt:coldpath txSeg free-list refill; steady state reuses released segments
+func (s *Socket) newTxSeg() *txSeg {
+	t := &txSeg{s: s}
+	t.releaseFn = t.release
+	return t
 }
 
 // submitSegment encodes one segment and pushes it to the NIC, charging
@@ -363,12 +418,13 @@ func (s *Socket) submitSegment(p *peer, m *outMsg, off, n, queue, ctxCore int, o
 	} else {
 		cpu += cm.HomaTxSegment
 	}
-	//smt:allow hotalloc -- per-segment submit closure; counted in the steady-state alloc budget
-	submit := func() { s.toNIC(p, m, enc, off, n, queue, retransmit) }
+	m.refs++
+	t := s.getTxSeg()
+	t.p, t.m, t.enc, t.off, t.queue, t.retransmit = p, m, enc, off, queue, retransmit
 	if onApp {
-		s.host.RunApp(ctxCore, cpu, submit)
+		s.host.App[ctxCore%len(s.host.App)].AcquireAction(cpu, t)
 	} else {
-		s.host.RunSoftirq(ctxCore, cm.HomaPacer+cpu, submit)
+		s.host.Softirq[ctxCore%len(s.host.Softirq)].AcquireAction(cm.HomaPacer+cpu, t)
 	}
 }
 
@@ -382,17 +438,21 @@ func nPkts(wireLen, mtu int) int {
 	return n
 }
 
-func (s *Socket) toNIC(p *peer, m *outMsg, enc *Segment, off, n, queue int, retransmit bool) {
+// toNIC hands an encoded segment to the NIC. Every path ends in
+// t.release: TSO segments through the NIC's TxSegment.Release once cut,
+// software-cut retransmissions directly after the copy loop.
+func (s *Socket) toNIC(t *txSeg) {
+	p, m, enc, queue := t.p, t.m, t.enc, t.queue
 	hdr := wire.OverlayHeader{
 		SrcPort: s.port, DstPort: p.key.port,
 		Type:      wire.TypeData,
 		MsgID:     m.id,
-		MsgLen:    uint32(len(m.payload)),
-		TSOOffset: uint32(off),
+		MsgLen:    uint32(m.msgLen),
+		TSOOffset: uint32(t.off),
 	}
 	ip := wire.IPv4Header{TTL: 64, Protocol: s.cfg.Proto, Src: s.host.Addr, Dst: p.key.addr}
 
-	if retransmit {
+	if t.retransmit {
 		s.Stats.Retransmits++
 		if enc.Records != nil {
 			// Hardware-offloaded segments are re-encrypted wholesale: the
@@ -402,19 +462,20 @@ func (s *Socket) toNIC(p *peer, m *outMsg, enc *Segment, off, n, queue int, retr
 			// discarded by the receiver.
 			pkt := s.host.NIC.AcquirePacket()
 			pkt.IP, pkt.Overlay = ip, hdr
-			pkt.Payload = enc.Payload // borrowed until emit; Release recycles
-			s.host.NIC.SendSegment(queue, &nicsim.TxSegment{
+			pkt.Payload = enc.Payload // borrowed until the cut; Release recycles
+			t.nic = nicsim.TxSegment{
 				Pkt: pkt, MTU: s.cfg.MTU,
 				Records: enc.Records, Keys: enc.Keys, CtxID: enc.CtxID, Resync: true,
-				Release: enc.Release,
-			})
+				Release: t.releaseFn,
+			}
+			s.host.NIC.SendSegment(queue, &t.nic)
 			return
 		}
 		// Software path: packets are cut in software and carry their
 		// original intra-segment offset in the Resend-packet-offset field
 		// of the overlay header (§4.3), since a lone packet's IPID no
-		// longer encodes its position. The cuts copy, so the codec
-		// segment is recycled as soon as the loop ends.
+		// longer encodes its position. The cuts copy, so the segment is
+		// released as soon as the loop ends.
 		per := s.cfg.MTU - wire.IPv4HeaderLen - wire.OverlayHeaderLen
 		for i, pos := 0, 0; pos < len(enc.Payload); i, pos = i+1, pos+per {
 			end := pos + per
@@ -428,20 +489,19 @@ func (s *Socket) toNIC(p *peer, m *outMsg, enc *Segment, off, n, queue int, retr
 			pkt.SetPayload(enc.Payload[pos:end])
 			s.host.NIC.SendSegment(queue, &nicsim.TxSegment{Pkt: pkt, MTU: s.cfg.MTU, NoTSO: true})
 		}
-		if enc.Release != nil {
-			enc.Release()
-		}
+		t.release()
 		return
 	}
 
 	pkt := s.host.NIC.AcquirePacket()
 	pkt.IP, pkt.Overlay = ip, hdr
-	pkt.Payload = enc.Payload // borrowed until emit; Release recycles
-	s.host.NIC.SendSegment(queue, &nicsim.TxSegment{
-		Pkt: pkt, MTU: s.cfg.MTU, NoTSO: false,
+	pkt.Payload = enc.Payload // borrowed until the cut; Release recycles
+	t.nic = nicsim.TxSegment{
+		Pkt: pkt, MTU: s.cfg.MTU,
 		Records: enc.Records, Keys: enc.Keys, CtxID: enc.CtxID, Resync: enc.Resync,
-		Release: enc.Release,
-	})
+		Release: t.releaseFn,
+	}
+	s.host.NIC.SendSegment(queue, &t.nic)
 }
 
 func (s *Socket) armSenderTimer(p *peer, m *outMsg) {
@@ -453,8 +513,8 @@ func (s *Socket) armSenderTimer(p *peer, m *outMsg) {
 			// No ACK: re-push the first segment to re-trigger the receiver.
 			span := p.codec.SegSpan()
 			n := span
-			if n > len(m.payload) {
-				n = len(m.payload)
+			if n > m.msgLen {
+				n = m.msgLen
 			}
 			s.submitSegment(p, m, 0, n, s.host.SoftirqQueue(0), 0, false, true)
 			s.armSenderTimer(p, m)

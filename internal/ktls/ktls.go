@@ -110,8 +110,9 @@ func (c *Codec) perRecordCost() sim.Time {
 }
 
 // EncodeStream implements tcpsim.Codec: cut the framed plaintext into
-// records; one chunk per record.
-func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
+// records; one chunk per record, each in its own pool buffer. data is
+// returned to pool once every record has copied its share.
+func (c *Codec) EncodeStream(pool *wire.BufPool, data []byte) ([]tcpsim.Chunk, sim.Time) {
 	var (
 		chunks []tcpsim.Chunk
 		cpu    sim.Time
@@ -126,21 +127,20 @@ func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
 		recLen := tlsrec.RecordWireLen(n, 0)
 		cpu += c.perRecordCost()
 		c.RecordsSealed++
+		buf := pool.Get(recLen)
 		if c.mode == ModeKTLSHW {
-			//smt:allow hotalloc -- per-record ciphertext shell; the HW-offload copy being modelled
-			buf := make([]byte, recLen)
 			tlsrec.WriteRecordShell(buf, 0, wire.RecordTypeApplicationData, plain, 0)
 			cpu += c.cm.OffloadMetaPerSeg
 			//smt:allow hotalloc -- per-record chunk list handed to the stream; the comparison stack's measured cost
 			chunks = append(chunks, tcpsim.Chunk{
-				Bytes: buf,
+				Bytes: buf, Buf: buf,
 				//smt:allow hotalloc -- per-record offload descriptor handed to the NIC
 				Records: []nicsim.RecordDesc{{Off: 0, InnerLen: n + 1, Seq: seq}},
 				Keys:    c.tx,
 			})
 			continue
 		}
-		sealed, err := c.tx.SealRecord(nil, seq, wire.RecordTypeApplicationData, plain, 0)
+		sealed, err := c.tx.SealRecord(buf[:0], seq, wire.RecordTypeApplicationData, plain, 0)
 		if err != nil {
 			//smt:allow panic -- sealing with session keys over validated sizes cannot fail; an error means corrupted key state
 			panic(fmt.Sprintf("ktls: seal: %v", err))
@@ -152,8 +152,9 @@ func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
 			cpu += c.cm.Copy(recLen) + c.cm.Syscall
 		}
 		//smt:allow hotalloc -- per-record chunk list handed to the stream; the comparison stack's measured cost
-		chunks = append(chunks, tcpsim.Chunk{Bytes: sealed})
+		chunks = append(chunks, tcpsim.Chunk{Bytes: sealed, Buf: sealed})
 	}
+	pool.Put(data)
 	return chunks, cpu
 }
 

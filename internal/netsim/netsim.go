@@ -84,9 +84,9 @@ func (r DropReason) String() string {
 // with a tap attached:
 //
 //   - A tap must not mutate packets, the network, or anything reachable
-//     from them. Payload slices passed to a tap may alias borrowed
-//     producer memory that is mutated after the callback returns (the
-//     kTLS-style in-place retransmit re-seal); taps copy what they keep.
+//     from them. Payload slices passed to a tap are the packet's own
+//     pooled storage, recycled once the packet is consumed; taps copy
+//     what they keep.
 //   - A tap must not draw from the engine RNG or schedule events: fault
 //     sampling consumes the engine's RNG stream in a fixed order, and
 //     any extra draw or event would perturb every seeded run.
@@ -226,9 +226,12 @@ type Network struct {
 	bufUsed int
 
 	// pool recycles packets (and their payload storage) across the whole
-	// world attached to this network; hopFree recycles the per-hop
-	// scheduling actions. Both are single-goroutine free lists.
+	// world attached to this network; bufs recycles the message buffers
+	// the transports hold between send and acknowledgment; hopFree
+	// recycles the per-hop scheduling actions. All are single-goroutine
+	// free lists.
 	pool    wire.PacketPool
+	bufs    wire.BufPool
 	hopFree []*hopEvent
 
 	// tap, when non-nil, observes every packet (see Tap).
@@ -284,6 +287,10 @@ func (n *Network) Switched() bool { return n.sw != nil }
 // consumer — or any drop point — returns it with Packet.Release. See the
 // ownership rules in ARCHITECTURE.md ("Performance").
 func (n *Network) AcquirePacket() *wire.Packet { return n.pool.Get() }
+
+// Bufs returns the world's message-buffer pool (see wire.BufPool and
+// the ownership rules in ARCHITECTURE.md, "Performance").
+func (n *Network) Bufs() *wire.BufPool { return &n.bufs }
 
 // BufferUsed reports the switch shared-buffer occupancy in bytes.
 func (n *Network) BufferUsed() int { return n.bufUsed }
@@ -347,12 +354,10 @@ func (n *Network) Deliver(pkt *wire.Packet) {
 	n.finalHop(pkt, dst, 0)
 }
 
-// corrupt flips one payload byte in place. The payload may be borrowed
-// (aliasing producer memory a retransmit path will re-read), so the
-// packet is first given its own copy; the mutation then cannot leak back
-// into the sender's state.
+// corrupt flips one payload byte in place. Packets on the network own
+// their payload storage (NIC TSO cuts copy out of the producer's
+// buffer), so the mutation cannot leak back into the sender's state.
 func (n *Network) corrupt(pkt *wire.Packet) {
-	pkt.SetPayload(pkt.Payload)
 	pkt.Payload[n.eng.Rand().Intn(len(pkt.Payload))] ^= 0xff
 	pkt.Tampered = true
 	n.Corrupted.Add(1, uint64(pkt.WireLen()))

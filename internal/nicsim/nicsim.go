@@ -60,18 +60,11 @@ type TxSegment struct {
 	// serialized onto the link.
 	OnWire func()
 
-	// Release selects the payload ownership mode of the TSO cut.
-	//
-	// Non-nil: the payload is recyclable scratch — the cut copies the
-	// bytes into pool-owned per-packet buffers, then Release fires so
-	// the producer can reuse the buffer. Only valid for buffers that are
-	// written once and never mutated while packets are in flight.
-	//
-	// Nil: the cut packets alias the payload directly (zero copy). The
-	// producer must keep the memory alive until every packet has been
-	// consumed — and note that later in-place mutation (the kTLS-style
-	// retransmit re-seal) is visible to packets still in flight, exactly
-	// as on the pre-pooling data path.
+	// Release, if non-nil, runs once the TSO cut has copied the payload
+	// into the cut packets' own pooled storage: from then on the NIC
+	// holds no reference to the segment or its payload, and the
+	// producer may recycle both. Until then the producer must keep them
+	// valid and unmodified. Cut packets never alias the segment payload.
 	//
 	// Release is not invoked for NoTSO segments — there the packet
 	// itself carries the payload to the receiver.
@@ -188,6 +181,11 @@ func (n *NIC) Queues() int { return len(n.queues) }
 // the owning way for stacks on this host to build transmit packets.
 func (n *NIC) AcquirePacket() *wire.Packet { return n.net.AcquirePacket() }
 
+// Bufs returns the attached network's message-buffer pool — where the
+// stacks on this host take the buffers a message occupies between send
+// and acknowledgment, and between reassembly and delivery.
+func (n *NIC) Bufs() *wire.BufPool { return n.net.Bufs() }
+
 // HasContext reports whether a live flow context exists for id.
 func (n *NIC) HasContext(id uint64) bool {
 	_, ok := n.ctxs[id]
@@ -283,9 +281,9 @@ func (n *NIC) seal(seg *TxSegment, ctx *tlsCtx) {
 
 // emit splits the segment into MTU packets (unless NoTSO) and hands them
 // to the queue's transmit FIFO. Cut packets come from the network's
-// pool; their payload is copied out of recyclable scratch (Release set)
-// or aliased (Release nil) — see TxSegment.Release. The pool-owned
-// template packet is recycled either way.
+// pool and copy their payload out of the segment, so the producer's
+// buffer is free again once Release fires; the pool-owned template
+// packet is recycled.
 func (n *NIC) emit(q int, seg *TxSegment) {
 	if seg.NoTSO {
 		n.enqueue(q, seg.Pkt, seg.OnWire)
@@ -318,11 +316,7 @@ func (n *NIC) emit(q int, seg *TxSegment) {
 			// which is why Homa/SMT rely on the IPID instead.
 			pkt.Overlay.TSOOffset = seg.Pkt.Overlay.TSOOffset + uint32(off)
 		}
-		if seg.Release != nil {
-			pkt.SetPayload(payload[off:end])
-		} else {
-			pkt.Payload = payload[off:end] // borrowed: producer keeps it alive
-		}
+		pkt.SetPayload(payload[off:end])
 		last := end == len(payload)
 		var cb func()
 		if last {
@@ -334,11 +328,12 @@ func (n *NIC) emit(q int, seg *TxSegment) {
 			break
 		}
 	}
-	// Recycle scratch (if any) and the template packet.
+	// The payload is copied out: recycle the template, then notify the
+	// producer, which may recycle seg itself.
+	seg.Pkt.Release()
 	if seg.Release != nil {
 		seg.Release()
 	}
-	seg.Pkt.Release()
 }
 
 // enqueue appends a packet to queue q's FIFO and kicks the arbiter.

@@ -63,8 +63,9 @@ func New(cm *cost.Model, keys ktls.Keys) (*Codec, error) {
 	return &Codec{cm: cm, tx: tx, rx: rx}, nil
 }
 
-// EncodeStream implements tcpsim.Codec.
-func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
+// EncodeStream implements tcpsim.Codec: one record per chunk, each in
+// its own pool buffer; data returns to pool once sealed.
+func (c *Codec) EncodeStream(pool *wire.BufPool, data []byte) ([]tcpsim.Chunk, sim.Time) {
 	var (
 		chunks []tcpsim.Chunk
 		cpu    sim.Time
@@ -86,7 +87,8 @@ func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
 		copy(inner[streamHeaderLen:], data[off:off+n])
 
 		seq := c.txSeq.Next()
-		sealed, err := c.tx.SealRecord(nil, seq, wire.RecordTypeApplicationData, inner, 0)
+		buf := pool.Get(tlsrec.RecordWireLen(len(inner), 0))
+		sealed, err := c.tx.SealRecord(buf[:0], seq, wire.RecordTypeApplicationData, inner, 0)
 		if err != nil {
 			//smt:allow panic -- sealing with session keys over validated sizes cannot fail; an error means corrupted key state
 			panic(fmt.Sprintf("tcpls: seal: %v", err))
@@ -94,8 +96,9 @@ func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
 		cpu += c.cm.CryptoSW(len(sealed)) + c.cm.TCPLSRecord
 		c.RecordsSealed++
 		//smt:allow hotalloc -- per-record chunk list handed to the stream; the comparison stack's measured cost
-		chunks = append(chunks, tcpsim.Chunk{Bytes: sealed})
+		chunks = append(chunks, tcpsim.Chunk{Bytes: sealed, Buf: sealed})
 	}
+	pool.Put(data)
 	return chunks, cpu
 }
 

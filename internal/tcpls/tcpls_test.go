@@ -10,6 +10,7 @@ import (
 	"smt/internal/netsim"
 	"smt/internal/sim"
 	"smt/internal/tcpsim"
+	"smt/internal/wire"
 )
 
 func testWorld(seed int64) (*sim.Engine, *netsim.Network, *cpusim.Host, *cpusim.Host, *cost.Model) {
@@ -79,9 +80,9 @@ func TestTCPLSSlowerThanKTLS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, 4096)
-	_, tCPU := tc.EncodeStream(data)
-	_, kCPU := kc.EncodeStream(data)
+	var pool wire.BufPool
+	_, tCPU := tc.EncodeStream(&pool, pool.Get(4096))
+	_, kCPU := kc.EncodeStream(&pool, pool.Get(4096))
 	if tCPU <= kCPU {
 		t.Fatalf("TCPLS encode %v must exceed kTLS %v", tCPU, kCPU)
 	}

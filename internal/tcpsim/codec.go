@@ -16,6 +16,7 @@ import (
 	"smt/internal/nicsim"
 	"smt/internal/sim"
 	"smt/internal/tlsrec"
+	"smt/internal/wire"
 )
 
 // Chunk is a codec-produced unit of stream bytes. Chunks are the
@@ -23,7 +24,15 @@ import (
 // one chunk, which models kTLS's record-aligned transmit path.
 type Chunk struct {
 	// Bytes is the ciphertext (or plaintext) stream image of the chunk.
+	// It lies in a pool buffer owned by this chunk or by a later chunk
+	// of the same EncodeStream call.
 	Bytes []byte
+	// Buf is the pool buffer this chunk owns: the connection returns it
+	// to the world's BufPool once the cumulative ACK passes the chunk,
+	// or when the connection closes. Chunks that share one buffer (the
+	// PlainCodec cuts of one framed message) leave Buf nil on all but
+	// the last, which the cumulative ACK passes last.
+	Buf []byte
 	// Records describes TLS records for NIC sealing (hardware offload);
 	// offsets are relative to Bytes.
 	Records []nicsim.RecordDesc
@@ -31,19 +40,16 @@ type Chunk struct {
 	Keys *tlsrec.AEAD
 }
 
-// Chunk buffers are deliberately NOT pooled: a retransmission borrows
-// chunk.Bytes into NIC-deferred work (seal + cut happen later in virtual
-// time), so an ack-time release could recycle a buffer that is still
-// referenced by an in-flight retransmit. They stay GC-managed.
-
 // Codec transforms application messages to stream bytes and back. The
 // connection itself handles message framing (4-byte length prefix) above
 // the codec, mirroring how RPC protocols frame over TLS/TCP.
 type Codec interface {
 	// EncodeStream converts framed plaintext stream bytes into chunks,
 	// returning the transmit-side CPU cost (software crypto or offload
-	// metadata).
-	EncodeStream(data []byte) ([]Chunk, sim.Time)
+	// metadata). data is a buffer from pool and the codec takes it over:
+	// it either hands it on as a chunk's Buf or returns it to pool. New
+	// chunk buffers come from pool too.
+	EncodeStream(pool *wire.BufPool, data []byte) ([]Chunk, sim.Time)
 	// DecodeStream consumes in-order received stream bytes and returns
 	// any newly available plaintext stream bytes plus the receive-side
 	// CPU cost (decryption happens here — in recvmsg context).
@@ -57,8 +63,9 @@ const maxChunk = 64000
 // PlainCodec is raw TCP: the stream is the framed plaintext itself.
 type PlainCodec struct{}
 
-// EncodeStream implements Codec.
-func (PlainCodec) EncodeStream(data []byte) ([]Chunk, sim.Time) {
+// EncodeStream implements Codec: the chunks cut the framed buffer in
+// place, and the last one owns it.
+func (PlainCodec) EncodeStream(pool *wire.BufPool, data []byte) ([]Chunk, sim.Time) {
 	var chunks []Chunk
 	for off := 0; off < len(data); off += maxChunk {
 		end := off + maxChunk
@@ -66,6 +73,11 @@ func (PlainCodec) EncodeStream(data []byte) ([]Chunk, sim.Time) {
 			end = len(data)
 		}
 		chunks = append(chunks, Chunk{Bytes: data[off:end]})
+	}
+	if n := len(chunks); n > 0 {
+		chunks[n-1].Buf = data
+	} else {
+		pool.Put(data)
 	}
 	return chunks, 0
 }

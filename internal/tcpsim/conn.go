@@ -8,6 +8,7 @@ import (
 	"smt/internal/cpusim"
 	"smt/internal/nicsim"
 	"smt/internal/sim"
+	"smt/internal/tlsrec"
 	"smt/internal/wire"
 )
 
@@ -86,7 +87,8 @@ type Conn struct {
 	rtoStrikes int    // consecutive RTO firings without cumulative-ACK progress
 	nicNext    uint64 // next record seq the NIC context expects (hw)
 	ctxID      uint64
-	txFree     []*txBuf // recycled TSO-segment assembly buffers
+	txFree     []*txBuf   // recycled TSO-segment assembly buffers
+	tcFree     []*txChunk // recycled retransmission-queue entries
 
 	// receiver state. rxPending/appStream are consumed from a head index
 	// (instead of re-slicing) so their capacity is actually reused once
@@ -115,6 +117,8 @@ type Conn struct {
 	Stats Stats
 }
 
+// txChunk is one retransmission-queue entry: a codec chunk at stream
+// offset seq. It owns chunk.Buf until the cumulative ACK passes it.
 type txChunk struct {
 	seq   int64
 	chunk Chunk
@@ -141,6 +145,13 @@ func (c *Conn) getTxBuf() *txBuf {
 		c.txFree = c.txFree[:l-1]
 		return tb
 	}
+	return c.newTxBuf()
+}
+
+// newTxBuf builds an assembly buffer with its release hook bound.
+//
+//smt:coldpath txBuf free-list refill; steady state reuses buffers the NIC has cut
+func (c *Conn) newTxBuf() *txBuf {
 	tb := &txBuf{}
 	tb.release = func() {
 		tb.bytes = tb.bytes[:0]
@@ -150,10 +161,31 @@ func (c *Conn) getTxBuf() *txBuf {
 	return tb
 }
 
-// framed prepends the 4-byte length prefix RPC framing.
-func framed(msg []byte) []byte {
-	//smt:allow hotalloc -- per-message framing buffer models the syscall copy
-	out := make([]byte, 4+len(msg))
+// getTxChunk takes a retransmission-queue entry from the free list.
+func (c *Conn) getTxChunk() *txChunk {
+	if l := len(c.tcFree); l > 0 {
+		tc := c.tcFree[l-1]
+		c.tcFree[l-1] = nil
+		c.tcFree = c.tcFree[:l-1]
+		return tc
+	}
+	return &txChunk{}
+}
+
+// releaseChunk returns an entry's owned buffer to the world's pool and
+// the entry to the free list.
+func (c *Conn) releaseChunk(tc *txChunk) {
+	if tc.chunk.Buf != nil {
+		c.host.NIC.Bufs().Put(tc.chunk.Buf)
+	}
+	*tc = txChunk{}
+	c.tcFree = append(c.tcFree, tc)
+}
+
+// framed copies msg behind the 4-byte length prefix of RPC framing into
+// a buffer from pool — the send syscall's copy into kernel memory.
+func framed(pool *wire.BufPool, msg []byte) []byte {
+	out := pool.Get(4 + len(msg))
 	binary.BigEndian.PutUint32(out, uint32(len(msg)))
 	copy(out[4:], msg)
 	return out
@@ -161,6 +193,7 @@ func framed(msg []byte) []byte {
 
 // SendMessage writes one length-prefixed message to the stream. Syscall,
 // copy and codec (crypto) costs charge on the connection's app thread.
+// msg is copied before SendMessage returns; the caller may reuse it.
 func (c *Conn) SendMessage(msg []byte) {
 	if c.closed {
 		//smt:allow panic -- Send-API misuse by the harness; bytes on a closed conn would corrupt the stream accounting
@@ -173,14 +206,16 @@ func (c *Conn) SendMessage(msg []byte) {
 	c.Stats.MsgsSent++
 	c.Stats.BytesSent += uint64(len(msg))
 	cm := c.host.CM
-	data := framed(msg)
+	pool := c.host.NIC.Bufs()
+	data := framed(pool, msg)
 	sendCost := cm.Syscall + cm.Copy(len(data)) + cm.TCPPerConn*sim.Time(c.host.StreamConns)
 	//smt:allow hotalloc -- per-message send closure; counted in the steady-state alloc budget
 	c.host.RunApp(c.appThread, sendCost, func() {
-		chunks, cpu := c.codec.EncodeStream(data)
+		chunks, cpu := c.codec.EncodeStream(pool, data)
 		c.host.RunApp(c.appThread, cpu+cm.TCPTxSegment, func() {
 			for i := range chunks {
-				tc := &txChunk{seq: c.highWater, chunk: chunks[i]}
+				tc := c.getTxChunk()
+				tc.seq, tc.chunk = c.highWater, chunks[i]
 				if len(chunks[i].Records) > 0 {
 					tc.firstSeq = chunks[i].Records[0].Seq
 					tc.nRecs = len(chunks[i].Records)
@@ -189,11 +224,18 @@ func (c *Conn) SendMessage(msg []byte) {
 				c.chunks = append(c.chunks, tc)
 			}
 			c.trySend()
+			if c.closed {
+				// Queued before Close: transmitted once, never retransmitted.
+				c.releaseChunks()
+			}
 		})
 	})
 }
 
-// OnMessage registers the reassembled-message callback.
+// OnMessage registers the reassembled-message callback. fn sees each
+// message's bytes valid only for the duration of the call: they are a
+// slice of the connection's receive buffer, reused for the next
+// messages. A callback that keeps the bytes copies them.
 func (c *Conn) OnMessage(fn func([]byte)) { c.onMessage = fn }
 
 // OnHandshake registers the receiver for handshake-flight packets
@@ -265,14 +307,15 @@ func (c *Conn) PeerPort() uint16 { return c.peerPort }
 // Segments are assembled into pooled buffers the NIC hands back after
 // cutting; the copy is semantically load-bearing for kTLS-hw, where the
 // NIC seals the transmitted copy while the retained chunk keeps its
-// plaintext shell for retransmission.
+// plaintext shell for retransmission. No NIC work ever references a
+// chunk, so the cumulative ACK can return chunk buffers at once.
 func (c *Conn) trySend() {
 	for c.sndNxt < c.sndUna+int64(c.cfg.Window) {
 		var (
 			tb      = c.getTxBuf()
 			seg     = tb.bytes[:0]
 			recs    = tb.recs[:0]
-			keys    = (*txChunk)(nil)
+			keys    *tlsrec.AEAD
 			started = c.sndNxt
 		)
 		for _, tc := range c.chunks {
@@ -294,7 +337,7 @@ func (c *Conn) trySend() {
 				recs = append(recs, r)
 			}
 			if tc.chunk.Keys != nil {
-				keys = tc
+				keys = tc.chunk.Keys
 			}
 			seg = append(seg, tc.chunk.Bytes...)
 		}
@@ -303,16 +346,14 @@ func (c *Conn) trySend() {
 			tb.release()
 			return
 		}
-		c.sendSegment(started, seg, recs, keysOf(keys), tb.release, false)
+		c.sendSegment(started, seg, recs, keys, tb.release)
 		c.sndNxt = started + int64(len(seg))
 	}
 }
 
-func keysOf(tc *txChunk) *txChunk { return tc }
-
-// sendSegment submits one TSO segment at stream offset seq. release, if
-// non-nil, recycles the payload buffer once the NIC has cut it.
-func (c *Conn) sendSegment(seq int64, payload []byte, recs []nicsim.RecordDesc, keyChunk *txChunk, release func(), retx bool) {
+// sendSegment submits one TSO segment at stream offset seq; release
+// recycles the payload buffer once the NIC has cut it.
+func (c *Conn) sendSegment(seq int64, payload []byte, recs []nicsim.RecordDesc, keys *tlsrec.AEAD, release func()) {
 	pkt := c.host.NIC.AcquirePacket()
 	pkt.IP = wire.IPv4Header{TTL: 64, Protocol: wire.ProtoTCP, Src: c.host.Addr, Dst: c.peerAddr}
 	pkt.Overlay = wire.OverlayHeader{
@@ -323,9 +364,9 @@ func (c *Conn) sendSegment(seq int64, payload []byte, recs []nicsim.RecordDesc, 
 	}
 	pkt.Payload = payload // borrowed until the NIC cuts; release recycles
 	seg := &nicsim.TxSegment{Pkt: pkt, MTU: c.cfg.MTU, Release: release}
-	if len(recs) > 0 && keyChunk != nil && keyChunk.chunk.Keys != nil {
+	if len(recs) > 0 && keys != nil {
 		seg.Records = recs
-		seg.Keys = keyChunk.chunk.Keys
+		seg.Keys = keys
 		seg.CtxID = c.ctxID
 		first := recs[0].Seq
 		if c.nicNext != first {
@@ -369,29 +410,28 @@ func (c *Conn) armRTO() {
 
 // retransmitFrom resends the chunk containing stream offset seq (hardware
 // records get a resync; software ciphertext is resent verbatim).
+//
+// The chunk is copied into a pooled assembly buffer now, before the
+// deferred softirq work: the cumulative ACK may return the chunk's
+// buffer before that work runs. Offloaded records re-seal from this
+// copy, like first transmission — never the retained plaintext shell
+// itself. Sealing the retained bytes in place would destroy the shell,
+// and a second in-place seal under the same record sequence XORs the
+// GCM keystream back out: the retransmission would carry plaintext on
+// the wire.
 func (c *Conn) retransmitFrom(seq int64) {
 	for _, tc := range c.chunks {
 		end := tc.seq + int64(len(tc.chunk.Bytes))
 		if seq < tc.seq || seq >= end {
 			continue
 		}
-		cm := c.host.CM
+		tb := c.getTxBuf()
+		tb.bytes = append(tb.bytes[:0], tc.chunk.Bytes...)
+		tb.recs = append(tb.recs[:0], tc.chunk.Records...)
+		at, keys := tc.seq, tc.chunk.Keys
 		//smt:allow hotalloc -- per-retransmission closure; loss recovery is off the lossless steady-state path
-		c.host.RunSoftirq(c.core, cm.TCPTxSegment, func() {
-			if len(tc.chunk.Records) > 0 {
-				// Offloaded records re-seal from the retained plaintext
-				// shell into a pooled copy, like first transmission — never
-				// the shell itself. Sealing the retained bytes in place
-				// would destroy the shell, and a second in-place seal under
-				// the same record sequence XORs the GCM keystream back out:
-				// the retransmission would carry plaintext on the wire.
-				tb := c.getTxBuf()
-				tb.bytes = append(tb.bytes[:0], tc.chunk.Bytes...)
-				tb.recs = append(tb.recs[:0], tc.chunk.Records...)
-				c.sendSegment(tc.seq, tb.bytes, tb.recs, tc, tb.release, true)
-				return
-			}
-			c.sendSegment(tc.seq, tc.chunk.Bytes, nil, nil, nil, true)
+		c.host.RunSoftirq(c.core, c.host.CM.TCPTxSegment, func() {
+			c.sendSegment(at, tb.bytes, tb.recs, keys, tb.release)
 		})
 		return
 	}
@@ -410,6 +450,8 @@ func (c *Conn) handleAck(ack int64) {
 		for _, tc := range c.chunks {
 			if tc.seq+int64(len(tc.chunk.Bytes)) > ack {
 				keep = append(keep, tc)
+			} else {
+				c.releaseChunk(tc)
 			}
 		}
 		for i := len(keep); i < len(c.chunks); i++ {
@@ -567,7 +609,8 @@ func (c *Conn) deliverCycle() {
 }
 
 // drainMessages parses length-prefixed messages from the plaintext
-// stream.
+// stream and hands each to the callback as a borrowed slice of
+// appStream (see OnMessage).
 func (c *Conn) drainMessages() {
 	for {
 		buf := c.appStream[c.appHead:]
@@ -578,7 +621,7 @@ func (c *Conn) drainMessages() {
 		if len(buf) < 4+n {
 			return
 		}
-		msg := append([]byte(nil), buf[4:4+n]...)
+		msg := buf[4 : 4+n]
 		c.appHead += 4 + n
 		c.Stats.MsgsDelivered++
 		if c.onMessage != nil {
@@ -595,6 +638,17 @@ func (c *Conn) Close() {
 	c.closed = true
 	c.host.StreamConns--
 	c.rto.Stop()
+	c.releaseChunks()
+}
+
+// releaseChunks empties the retransmission queue of a closed
+// connection, returning every chunk buffer to the pool.
+func (c *Conn) releaseChunks() {
+	for i, tc := range c.chunks {
+		c.releaseChunk(tc)
+		c.chunks[i] = nil
+	}
+	c.chunks = c.chunks[:0]
 }
 
 // String identifies the connection.

@@ -7,7 +7,9 @@ import (
 	"smt/internal/cost"
 	"smt/internal/cpusim"
 	"smt/internal/netsim"
+	"smt/internal/rpc"
 	"smt/internal/sim"
+	"smt/internal/wire"
 )
 
 type world struct {
@@ -52,7 +54,7 @@ func TestConnectAndExchange(t *testing.T) {
 	w := newWorld(1)
 	cli, srv := connect(t, w, Config{})
 	var got []byte
-	srv.OnMessage(func(m []byte) { got = m })
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 	msg := pattern(64)
 	w.eng.At(w.eng.Now(), func() { cli.SendMessage(msg) })
 	w.eng.Run()
@@ -87,7 +89,7 @@ func TestLargeTransfer(t *testing.T) {
 	w := newWorld(3)
 	cli, srv := connect(t, w, Config{})
 	var got []byte
-	srv.OnMessage(func(m []byte) { got = m })
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 	msg := pattern(2_000_000) // exceeds window: needs ack clocking
 	w.eng.At(w.eng.Now(), func() { cli.SendMessage(msg) })
 	w.eng.Run()
@@ -119,7 +121,7 @@ func TestLossRecoveryFastRetransmit(t *testing.T) {
 	cli, srv := connect(t, w, Config{})
 	w.net.LossProb = 0.03
 	var got []byte
-	srv.OnMessage(func(m []byte) { got = m })
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 	msg := pattern(500_000)
 	w.eng.At(w.eng.Now(), func() { cli.SendMessage(msg) })
 	w.eng.RunUntil(3 * sim.Second)
@@ -135,7 +137,7 @@ func TestRTORecoversTotalLoss(t *testing.T) {
 	w := newWorld(6)
 	cli, srv := connect(t, w, Config{})
 	var got []byte
-	srv.OnMessage(func(m []byte) { got = m })
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 	w.net.LossProb = 1.0
 	w.eng.At(w.eng.Now(), func() { cli.SendMessage(pattern(100)) })
 	at := w.eng.Now()
@@ -155,7 +157,7 @@ func TestReorderingHandled(t *testing.T) {
 	w.net.ReorderProb = 0.2
 	w.net.ReorderDelay = 30 * sim.Microsecond
 	var got []byte
-	srv.OnMessage(func(m []byte) { got = m })
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 	msg := pattern(300_000)
 	w.eng.At(w.eng.Now(), func() { cli.SendMessage(msg) })
 	w.eng.RunUntil(2 * sim.Second)
@@ -168,8 +170,8 @@ func TestBidirectional(t *testing.T) {
 	w := newWorld(8)
 	cli, srv := connect(t, w, Config{})
 	var fromCli, fromSrv []byte
-	srv.OnMessage(func(m []byte) { fromCli = m })
-	cli.OnMessage(func(m []byte) { fromSrv = m })
+	srv.OnMessage(func(m []byte) { fromCli = append([]byte(nil), m...) })
+	cli.OnMessage(func(m []byte) { fromSrv = append([]byte(nil), m...) })
 	w.eng.At(w.eng.Now(), func() {
 		cli.SendMessage(pattern(100))
 		srv.SendMessage(pattern(200))
@@ -226,8 +228,55 @@ func TestCloseStopsTraffic(t *testing.T) {
 }
 
 func TestFramingHelper(t *testing.T) {
-	f := framed([]byte("abc"))
+	var pool wire.BufPool
+	f := framed(&pool, []byte("abc"))
 	if len(f) != 7 || f[3] != 3 || !bytes.Equal(f[4:], []byte("abc")) {
 		t.Fatalf("framed = %v", f)
+	}
+	if pool.Outstanding() != 1 {
+		t.Fatalf("framed buffer not drawn from the pool: %d outstanding", pool.Outstanding())
+	}
+}
+
+// TestSendBufferReuseUnderLoss pins SendMessage's copy contract: the
+// caller may overwrite its buffer as soon as SendMessage returns, and
+// every transmission of the message — retransmissions after loss
+// included — carries the bytes as they were at the call. Harnesses that
+// encode every request into one reused buffer depend on this. Once all
+// data is acknowledged, every message buffer is back in the pool.
+func TestSendBufferReuseUnderLoss(t *testing.T) {
+	w := newWorld(5)
+	cli, srv := connect(t, w, Config{})
+	w.net.LossProb = 0.03
+	const n = 6
+	var delivered, valid int
+	srv.OnMessage(func(m []byte) {
+		delivered++
+		if rpc.BodyValid(m) {
+			valid++
+		}
+	})
+	var buf []byte
+	w.eng.At(w.eng.Now(), func() {
+		for i := 0; i < n; i++ {
+			buf = rpc.AppendEncode(buf, uint64(i), 0, 100_000)
+			cli.SendMessage(buf)
+			for j := range buf {
+				buf[j] = 0xff
+			}
+		}
+	})
+	w.eng.RunUntil(3 * sim.Second)
+	if delivered != n || valid != n {
+		t.Fatalf("delivered %d messages, %d with intact bodies; want %d", delivered, valid, n)
+	}
+	if cli.Stats.FastRetx+cli.Stats.RTORetx == 0 {
+		t.Fatal("no retransmission: the loss did not exercise the retransmit path")
+	}
+	if out := w.net.Bufs().Outstanding(); out != 0 {
+		t.Errorf("%d message buffers outstanding after every byte was acknowledged", out)
+	}
+	if out := w.net.OutstandingPackets(); out != 0 {
+		t.Errorf("%d packets outstanding", out)
 	}
 }

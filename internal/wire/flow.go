@@ -50,9 +50,9 @@ func (f Flow) FastHash() uint64 {
 //
 // Steady-state packets come from a PacketPool and own their payload
 // storage (Payload aliases the packet's internal buffer, filled via
-// SetPayload/CopyFrom). A producer may also bind Payload directly to
-// memory it owns — a "borrowed" payload — but then it must guarantee
-// that memory stays valid until the packet is consumed; the internal
+// SetPayload/CopyFrom). Only a TSO segment's template packet binds
+// Payload directly to its producer's segment bytes — a "borrowed"
+// payload the NIC copies out when it cuts the segment; the internal
 // buffer is preserved across such borrows and restored by Reset.
 type Packet struct {
 	IP      IPv4Header

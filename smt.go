@@ -56,7 +56,9 @@ type (
 	Codec = core.Codec
 	// TransportConfig carries the Homa-level knobs.
 	TransportConfig = homa.Config
-	// Delivery is a verified incoming message.
+	// Delivery is a verified incoming message. Its Payload is valid only
+	// for the duration of the OnMessage callback; keep a copy, not the
+	// slice.
 	Delivery = homa.Delivery
 	// BitAllocation is the composite sequence-number split (§4.4.1).
 	BitAllocation = tlsrec.BitAllocation
