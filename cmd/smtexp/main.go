@@ -13,12 +13,13 @@
 //	smtexp -stacks TCP,TCPLS,SMT-hw -run loadsweep
 //	smtexp -run all -audit           # every world wire-audited
 //
-// -audit attaches the wire-compliance auditor (internal/audit) to every
-// world the run builds. The auditor is a pure observer — artifacts are
-// byte-identical with it on — and after the run each world is drained
-// and settled: plaintext/nonce/keystream/framing invariants, byte
-// conservation, and packet-pool leak-freedom. Any violation exits
-// nonzero.
+// -audit sets RunOptions.Audit: every world the run builds gets the
+// wire-compliance auditor (internal/audit), and each point's worlds are
+// drained and settled as soon as the point returns — plaintext/nonce/
+// keystream/framing invariants, byte conservation, and leak-freedom of
+// the packet and message-buffer pools. The auditor is a pure observer,
+// so artifacts are byte-identical with it on; a world that does not
+// settle clean fails its point, and any failed point exits nonzero.
 //
 // -stacks selects the lineup the lineup-driven experiments (fig6, fig7,
 // fig9, incast, multiclient, loadsweep, churn) sweep: any comma-separated
@@ -44,7 +45,6 @@ import (
 	"time"
 
 	"smt/internal/experiments"
-	"smt/internal/sim"
 )
 
 func main() {
@@ -55,7 +55,7 @@ func main() {
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent points")
 		jsonOut = flag.String("json", "", "write a JSON artifact to this path")
 		quiet   = flag.Bool("quiet", false, "suppress per-point rows; print summaries only")
-		audit   = flag.Bool("audit", false, "wire-audit every world; summarize violations after the run (nonzero exit on any)")
+		audit   = flag.Bool("audit", false, "wire-audit every world and settle it after its point (a violation or leak fails the point)")
 	)
 	flag.Parse()
 
@@ -115,36 +115,36 @@ func runExperiments(arg string, lineup []experiments.StackSpec, workers int, jso
 	if !quiet {
 		onResult = printResult
 	}
-	if audit {
-		experiments.SetAuditAll(true)
-		defer experiments.SetAuditAll(false)
-	}
 	start := time.Now()
 	runs, err := experiments.RunNamed(names, experiments.RunOptions{
 		Workers:  workers,
 		Stacks:   lineup,
+		Audit:    audit,
 		OnResult: onResult,
 	})
 	if err != nil {
 		return err
 	}
-	var auditErr error
-	if audit {
-		auditErr = settleAudit()
-	}
 
-	var points, failed int
+	var points, failed, audited int
 	for _, r := range runs {
 		for _, res := range r.Results {
 			points++
+			audited += res.AuditedWorlds
 			if res.Err != "" {
 				failed++
+				if quiet {
+					fmt.Fprintf(os.Stderr, "%s %s: %s\n", r.Name, res.Key, res.Err)
+				}
 			}
 		}
 		fmt.Fprintf(os.Stderr, "%-10s %4d points in %8.1f ms\n", r.Name, len(r.Results), r.ElapsedMs)
 	}
 	fmt.Fprintf(os.Stderr, "total: %d experiments, %d points, %d failed, %.1fs wall (%d workers)\n",
 		len(runs), points, failed, time.Since(start).Seconds(), workers)
+	if audit {
+		fmt.Fprintf(os.Stderr, "audit: %d worlds settled after their points\n", audited)
+	}
 
 	if jsonOut != "" {
 		a := &experiments.Artifact{
@@ -162,38 +162,6 @@ func runExperiments(arg string, lineup []experiments.StackSpec, workers int, jso
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d point(s) failed", failed)
-	}
-	return auditErr
-}
-
-// settleAudit drains every audited world and settles the wire audit:
-// quiescence, the auditor's invariant set, byte conservation, and
-// leak-freedom of the packet and message-buffer pools. Individual
-// violations print to stderr (capped by the auditor's recording bound)
-// above a one-line summary.
-func settleAudit() error {
-	worlds := experiments.TakeAuditedWorlds()
-	var violations, leaked, leakedBufs, stuck int
-	var pkts uint64
-	for _, w := range worlds {
-		if !w.DrainQuiesce(2 * sim.Second) {
-			stuck++
-			continue
-		}
-		w.Audit.CheckConservation(w.Net)
-		st := w.Audit.Stats()
-		pkts += st.Packets
-		violations += int(st.TotalViolations)
-		leaked += w.Net.OutstandingPackets()
-		leakedBufs += w.Net.Bufs().Outstanding()
-		for _, v := range w.Audit.Violations() {
-			fmt.Fprintln(os.Stderr, "audit:", v.String())
-		}
-	}
-	fmt.Fprintf(os.Stderr, "audit: %d worlds, %d packets observed, %d violations, %d leaked packets, %d leaked message buffers, %d worlds failed to quiesce\n",
-		len(worlds), pkts, violations, leaked, leakedBufs, stuck)
-	if violations > 0 || leaked > 0 || leakedBufs > 0 || stuck > 0 {
-		return fmt.Errorf("audit failed: %d violations, %d leaked packets, %d leaked message buffers, %d worlds failed to quiesce", violations, leaked, leakedBufs, stuck)
 	}
 	return nil
 }

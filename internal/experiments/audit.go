@@ -1,95 +1,89 @@
 package experiments
 
 import (
-	"sync"
+	"errors"
+	"fmt"
+	"strings"
 
 	"smt/internal/audit"
 	"smt/internal/sim"
 )
 
 // This file wires the wire-compliance auditor (internal/audit) into the
-// experiment harness. Auditing is off by default and has zero footprint:
-// no tap is attached, no knob changes, and the seeded artifact bytes are
-// identical either way (the auditor is a pure observer — see the
-// netsim.Tap contract). Two ways in:
+// experiment harness. Auditing is a run option, RunOptions.Audit
+// (smtexp -audit), and off by default with zero footprint: no tap is
+// attached and the seeded artifact bytes are identical either way (the
+// auditor is a pure observer — see the netsim.Tap contract).
 //
-//   - w.EnableAudit() attaches an auditor to one world (the chaos
-//     battery and targeted tests).
-//   - SetAuditAll(true) makes every subsequently built fabric world
-//     attach one and records the world, so a harness (smtexp -audit,
-//     the registry-wide audit test) can sweep existing experiments
-//     unchanged and inspect every world afterwards.
+// The runner hands each point an auditScope, the way the lineup reaches
+// an experiment's build. When the scope is on, every world the point
+// builds gets an auditor before its first packet (attach), and the
+// runner settles those worlds as soon as the point returns (settle); a
+// settle failure becomes the point's Result.Err.
 
-var (
-	auditMu     sync.Mutex
-	auditAll    bool
-	auditWorlds []*World
-)
-
-// SetAuditAll toggles global auditing of every world NewFabricWorld
-// builds from now on. Worlds accumulate until TakeAuditedWorlds drains
-// them, so enable only around a bounded run.
-func SetAuditAll(v bool) {
-	auditMu.Lock()
-	defer auditMu.Unlock()
-	auditAll = v
+// auditScope is one point's audit switch and the worlds it audited.
+type auditScope struct {
+	on     bool
+	worlds []*World
 }
 
-// AuditAll reports whether global auditing is enabled.
-func AuditAll() bool {
-	auditMu.Lock()
-	defer auditMu.Unlock()
-	return auditAll
-}
-
-// TakeAuditedWorlds returns the worlds audited (via SetAuditAll) since
-// the last call, and clears the list.
-func TakeAuditedWorlds() []*World {
-	auditMu.Lock()
-	defer auditMu.Unlock()
-	ws := auditWorlds
-	auditWorlds = nil
-	return ws
-}
-
-// maybeAuditWorld attaches an auditor when global auditing is on;
-// called by NewFabricWorld (worlds built concurrently by the point
-// runner all pass through here, hence the lock).
-func maybeAuditWorld(w *World) {
-	auditMu.Lock()
-	defer auditMu.Unlock()
-	if !auditAll {
+// attach gives w an auditor when the scope is on and records w for
+// settlement. It is the one place a stack's encryption policy reaches
+// the auditor: every record layer but plain must show ciphertext on the
+// wire, plain stacks may carry plaintext. Callers attach before w
+// carries its first packet.
+func (s *auditScope) attach(w *World, spec StackSpec) {
+	if s == nil || !s.on {
 		return
 	}
 	w.Audit = audit.New()
+	w.Audit.SetExpectCiphertext(spec.Record != RecordPlain)
 	w.Net.SetTap(w.Audit)
-	auditWorlds = append(auditWorlds, w)
+	s.worlds = append(s.worlds, w)
 }
 
-// EnableAudit attaches a fresh auditor to w's network (idempotent) and
-// returns it. The auditor expects ciphertext until a stack's Setup
-// declares otherwise (BuildFabric wires that declaration).
-func (w *World) EnableAudit() *audit.Auditor {
-	if w.Audit == nil {
-		w.Audit = audit.New()
-		w.Net.SetTap(w.Audit)
-	}
-	return w.Audit
-}
-
-// DrainQuiesce runs the world's engine until no events remain or limit
-// of additional virtual time passes, and reports whether it quiesced.
+// settleTime bounds how much virtual time settle lets a world drain.
 // Closed loops stop issuing at their stop time, so a measured world
-// normally drains within a few RTOs; conservation and pool-leak checks
-// are only meaningful once this returns true.
-func (w *World) DrainQuiesce(limit sim.Time) bool {
-	deadline := w.Eng.Now() + limit
+// normally drains within a few RTOs.
+const settleTime = 2 * sim.Second
+
+// settle drains an audited world and checks it at quiescence: the
+// auditor's invariant set (plaintext, nonce/keystream reuse, framing)
+// plus byte conservation, that the tap saw packets at all, and that
+// the packet pool and the message-buffer pool are both empty. It
+// reports whether the world quiesced and how many pooled packets and
+// message buffers are still outstanding; err names every failed check
+// (nil when the world settled clean).
+func settle(w *World) (quiesced bool, outstanding int, err error) {
+	deadline := w.Eng.Now() + settleTime
 	for w.Eng.Pending() > 0 && w.Eng.Now() < deadline {
-		step := w.Eng.Now() + 10*sim.Millisecond
-		if step > deadline {
-			step = deadline
-		}
-		w.Eng.RunUntil(step)
+		w.Eng.RunUntil(min(w.Eng.Now()+10*sim.Millisecond, deadline))
 	}
-	return w.Eng.Pending() == 0
+	quiesced = w.Eng.Pending() == 0
+	pkts, bufs := w.Net.OutstandingPackets(), w.Net.Bufs().Outstanding()
+	if !quiesced {
+		return false, pkts + bufs, fmt.Errorf("did not quiesce (%d events pending)", w.Eng.Pending())
+	}
+	w.Audit.CheckConservation(w.Net)
+	var fails []string
+	st := w.Audit.Stats()
+	if st.TotalViolations != 0 {
+		fails = append(fails, fmt.Sprintf("%d audit violations", st.TotalViolations))
+		for _, v := range w.Audit.Violations() {
+			fails = append(fails, v.String())
+		}
+	}
+	if st.Packets == 0 {
+		fails = append(fails, "the tap saw no packets")
+	}
+	if pkts != 0 {
+		fails = append(fails, fmt.Sprintf("%d pooled packets outstanding", pkts))
+	}
+	if bufs != 0 {
+		fails = append(fails, fmt.Sprintf("%d message buffers outstanding", bufs))
+	}
+	if len(fails) > 0 {
+		err = errors.New(strings.Join(fails, "; "))
+	}
+	return true, pkts + bufs, err
 }

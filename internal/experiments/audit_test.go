@@ -7,126 +7,89 @@ import (
 	"smt/internal/audit"
 	"smt/internal/cpusim"
 	"smt/internal/rpc"
-	"smt/internal/sim"
 )
 
 // This file is the auditor's acceptance bar over the whole registry:
 // every registered experiment must run green under the wire-compliance
-// tap (no invariant violations, conserved bytes, no pooled-packet
-// leaks), and because the tap is a pure observer, the default artifacts
-// must stay byte-identical with auditing on. The negative control at the
-// bottom proves the bar has teeth: a deliberately planted plaintext leak
-// must be flagged.
-//
-// Tests here toggle the global SetAuditAll knob, so none of them use
-// t.Parallel: top-level tests run serially, and parallel subtests of an
-// earlier test always finish before the next top-level test starts.
+// tap, and because the tap is a pure observer, the artifacts must stay
+// byte-identical with auditing on. Both tests read the battery pass of
+// determinism_test.go (batteryOf) rather than running points of their
+// own. The negative control at the bottom proves the bar has teeth: a
+// deliberately planted plaintext leak must be flagged, and the world
+// must then fail to settle.
 
-// auditWorldsOf runs one registry point with global auditing on and
-// returns the audited worlds it built (empty for the analytic
-// experiments that never build a World).
-func auditWorldsOf(t *testing.T, e *Experiment, pt Point) []*World {
-	t.Helper()
-	SetAuditAll(true)
-	res := RunPoints(e, []Point{pt}, RunOptions{Workers: 1})[0]
-	SetAuditAll(false)
-	worlds := TakeAuditedWorlds()
-	if res.Err != "" {
-		t.Fatalf("%s point %q failed under audit: %s", e.Name(), pt.Key, res.Err)
-	}
-	return worlds
-}
-
-// TestAuditorGreenAcrossRegistry sweeps a spread of every registered
-// experiment's points with the auditor attached to every world built,
-// then drains each world and asserts the full invariant set: zero
-// violations (plaintext, nonce/keystream reuse, framing), conservation
-// at quiescence, and empty packet and message-buffer pools.
+// TestAuditorGreenAcrossRegistry asserts that every audited point of
+// the battery settled clean — quiescence, zero violations (plaintext,
+// nonce/keystream reuse, framing), conservation at quiescence, a tap
+// that saw packets, empty packet and message-buffer pools (see settle)
+// — and that it audited exactly the worlds it builds, so a build
+// function that skips attach shows up here. The unaudited pass must
+// audit nothing but the chaos battery's world.
 func TestAuditorGreenAcrossRegistry(t *testing.T) {
-	maxPts := 3
-	if testing.Short() {
-		maxPts = 1
-	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.Name(), func(t *testing.T) {
-			if e.Name() == "table2" {
-				t.Skip("table2 measures wall-clock crypto cost; no simulated wire to audit")
+	forEachBatteryExperiment(t, func(t *testing.T, e *Experiment, p *batteryPass) {
+		wantPlain := 0
+		if e.Name() == "chaos" {
+			wantPlain = 1 // chaos values are audit results: always audited
+		}
+		for i := range p.pts {
+			a, s := p.audited[i], p.plain[i]
+			if a.Err != "" {
+				t.Errorf("audited run: %s", a.Err)
 			}
-			for _, pt := range spreadPoints(e.Points(nil), maxPts) {
-				for _, w := range auditWorldsOf(t, e, pt) {
-					if !w.DrainQuiesce(2 * sim.Second) {
-						t.Errorf("%s: world did not quiesce (%d events pending)", pt.Key, w.Eng.Pending())
-						continue
-					}
-					w.Audit.CheckConservation(w.Net)
-					st := w.Audit.Stats()
-					if st.TotalViolations != 0 {
-						for _, v := range w.Audit.Violations() {
-							t.Errorf("%s: %s", pt.Key, v)
-						}
-					}
-					if st.Packets == 0 {
-						t.Errorf("%s: audited world saw no packets — tap not attached?", pt.Key)
-					}
-					if n := w.Net.OutstandingPackets(); n != 0 {
-						t.Errorf("%s: %d pooled packets outstanding at quiescence", pt.Key, n)
-					}
-					if n := w.Net.Bufs().Outstanding(); n != 0 {
-						t.Errorf("%s: %d message buffers outstanding at quiescence", pt.Key, n)
-					}
-				}
+			if s.Err != "" {
+				t.Errorf("unaudited run: %s", s.Err)
 			}
-		})
-	}
+			if n, want := a.AuditedWorlds, auditedWorlds(e.Name()); n != want {
+				t.Errorf("%s: audited run settled %d worlds, want %d", a.Key, n, want)
+			}
+			if n := s.AuditedWorlds; n != wantPlain {
+				t.Errorf("%s: unaudited run settled %d worlds, want %d", s.Key, n, wantPlain)
+			}
+		}
+	})
 }
 
-// TestAuditArtifactIdentity pins the observer contract end to end: the
-// seeded JSON artifacts of the headline experiments are byte-identical
-// with the audit tap attached and without it. Any engine RNG draw,
-// schedule perturbation, or packet mutation by the auditor breaks this.
+// TestAuditArtifactIdentity pins the observer contract end to end on
+// the headline experiments: their seeded JSON artifacts are
+// byte-identical with the audit tap attached and without it, and the
+// audited run did audit worlds. Any engine RNG draw, schedule
+// perturbation, or packet mutation by the auditor breaks this.
 func TestAuditArtifactIdentity(t *testing.T) {
-	names := []string{"fig6", "fig10", "incast", "loadsweep"}
-	maxPts := 4
-	if testing.Short() {
-		names = []string{"fig6"}
-		maxPts = 2
-	}
-	for _, name := range names {
+	for _, name := range []string{"fig6", "fig10", "incast", "loadsweep"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			e, ok := Lookup(name)
 			if !ok {
 				t.Fatalf("%s not registered", name)
 			}
-			pts := spreadPoints(e.Points(nil), maxPts)
-			base := artifactJSON(t, e, pts, 1)
-			SetAuditAll(true)
-			audited := artifactJSON(t, e, pts, 1)
-			SetAuditAll(false)
-			worlds := TakeAuditedWorlds()
-			if len(worlds) == 0 {
-				t.Fatal("no worlds were audited — SetAuditAll not reaching NewFabricWorld")
+			t.Parallel()
+			p := batteryOf(e)
+			audited := 0
+			for _, r := range p.audited {
+				audited += r.AuditedWorlds
 			}
-			if !bytes.Equal(base, audited) {
-				t.Errorf("artifact changed with audit tap attached:\noff: %s\non:  %s", base, audited)
+			if audited == 0 {
+				t.Fatal("no worlds were audited — RunOptions.Audit not reaching the world builders")
+			}
+			if a, s := artifactJSON(t, e, p.audited), artifactJSON(t, e, p.plain); !bytes.Equal(a, s) {
+				t.Errorf("artifact changed with audit tap attached:\noff: %s\non:  %s", s, a)
 			}
 		})
 	}
 }
 
-// TestAuditorPlaintextLeakControl is the negative control on a real
-// stack: run the plain TCP fabric (whose wire bytes genuinely are
-// plaintext) but tell the auditor to expect ciphertext, simulating an
-// encrypted stack that leaks. The auditor must flag the leak — if this
-// test fails, the green sweep above is vacuous.
+// TestAuditorPlaintextLeakControl runs the plain TCP fabric (whose wire
+// bytes genuinely are plaintext) but tells the auditor to expect
+// ciphertext, simulating an encrypted stack that leaks. The auditor
+// must flag the leak — if this test fails, TestAuditorGreenAcrossRegistry
+// is vacuous.
 func TestAuditorPlaintextLeakControl(t *testing.T) {
-	sys, err := BuildFabric(mustStack("TCP"))
+	a := &auditScope{on: true}
+	sys, err := buildFabric(mustStack("TCP"), a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := NewWorld(4242)
-	aud := w.EnableAudit()
 	var loops []*rpc.ClosedLoop
 	issue, err := sys.Setup(w, []*cpusim.Host{w.Client}, w.Server,
 		FabricConfig{StreamsPerClient: 2, MTU: mtuOrDefault(0)},
@@ -134,19 +97,24 @@ func TestAuditorPlaintextLeakControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(a.worlds) != 1 || w.Audit == nil {
+		t.Fatalf("Setup audited %d worlds, want this one", len(a.worlds))
+	}
 	// Setup just declared the plain stack's (honest) policy; override it
 	// to plant the leak.
-	aud.SetExpectCiphertext(true)
+	w.Audit.SetExpectCiphertext(true)
 	loops = newFabricLoops(w, 1, issue, ChaosRPCSize, ChaosRPCSize)
 	runFabricLoops(w, loops, 2)
-	w.DrainQuiesce(2 * sim.Second)
+	if _, _, err := settle(w); err == nil {
+		t.Error("a world with a planted plaintext leak settled clean")
+	}
 	leaks := 0
-	for _, v := range aud.Violations() {
+	for _, v := range w.Audit.Violations() {
 		if v.Kind == audit.KindPlaintextLeak {
 			leaks++
 		}
 	}
 	if leaks == 0 {
-		t.Fatalf("auditor missed a planted plaintext leak (violations: %v)", aud.Violations())
+		t.Fatalf("auditor missed a planted plaintext leak (violations: %v)", w.Audit.Violations())
 	}
 }

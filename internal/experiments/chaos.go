@@ -10,12 +10,13 @@ import (
 // fault knobs (loss, duplication, reordering, payload corruption) with
 // an optional mid-flight burst, MeasureChaos runs one stack under it
 // with the wire auditor attached and the application-level delivery
-// check armed, and the registered "chaos" experiment sweeps fault
-// intensity × every registered stack. The claim under test is that
-// every encrypted stack fails closed: tampered records are rejected
-// cryptographically (never surfaced to the application as wrong
-// plaintext), NIC resync repairs the hw-offload counter, and goodput
-// degrades without violating any audit invariant. The plain stacks are
+// check armed, then settles the world, and the registered "chaos"
+// experiment sweeps fault intensity × every registered stack. The
+// claim under test is that every encrypted stack fails closed:
+// tampered records are rejected cryptographically (never surfaced to
+// the application as wrong plaintext), NIC resync repairs the
+// hw-offload counter, and goodput degrades without violating any audit
+// invariant. The plain stacks are
 // the control: with nothing to authenticate the payload, tampered bytes
 // reach the application — the exposure the paper's encryption removes.
 
@@ -122,19 +123,31 @@ type ChaosRow struct {
 	Resyncs, SealCorrupted uint64
 
 	// Quiesced reports that the world drained to an empty event queue
-	// after the run; Outstanding is the packet-pool leak count at that
-	// point (must be zero when quiesced).
+	// after the run; Outstanding counts the pooled packets and message
+	// buffers still held at that point (must be zero when quiesced).
 	Quiesced    bool
 	Outstanding int
 }
 
 // MeasureChaos runs one stack under a chaos config on the two-host
-// world with the wire auditor attached, then drains the world and
-// settles the audit: conservation is checked at quiescence, and the
-// returned row carries everything the fail-closed battery asserts.
-func MeasureChaos(sys FabricSystem, c Chaos, seed int64) (ChaosRow, error) {
+// world with the wire auditor attached, then settles the world (see
+// settle): the returned row carries everything the fail-closed battery
+// asserts.
+func MeasureChaos(spec StackSpec, c Chaos, seed int64) (ChaosRow, error) {
+	return measureChaos(spec, c, seed, &auditScope{})
+}
+
+// measureChaos is MeasureChaos on a registry point's scope. Chaos values
+// are audit results, so the scope is switched on whatever the run's
+// audit option says; the runner settles the world again (idempotently)
+// when the point returns.
+func measureChaos(spec StackSpec, c Chaos, seed int64, a *auditScope) (ChaosRow, error) {
+	a.on = true
+	sys, err := buildFabric(spec, a)
+	if err != nil {
+		return ChaosRow{}, err
+	}
 	w := NewWorld(seed)
-	aud := w.EnableAudit()
 	var tampered uint64
 	w.Check = func(m []byte) {
 		if !rpc.BodyValid(m) {
@@ -153,11 +166,10 @@ func MeasureChaos(sys FabricSystem, c Chaos, seed int64) (ChaosRow, error) {
 	c.apply(w)
 	loops = newFabricLoops(w, 1, issue, ChaosRPCSize, ChaosRPCSize)
 	_, completed, window := runFabricLoops(w, loops, ChaosStreams)
-	quiesced := w.DrainQuiesce(2 * sim.Second)
-	if quiesced {
-		aud.CheckConservation(w.Net)
-	}
-	st := aud.Stats()
+	// The row reports what settling found; the runner's settle turns a
+	// failure into the point's error.
+	quiesced, outstanding, _ := settle(w)
+	st := w.Audit.Stats()
 	row := ChaosRow{
 		System:            sys.Name,
 		Completed:         completed,
@@ -168,7 +180,7 @@ func MeasureChaos(sys FabricSystem, c Chaos, seed int64) (ChaosRow, error) {
 		SlotRewrites:      st.SlotRewrites,
 		Desyncs:           st.Desyncs,
 		Quiesced:          quiesced,
-		Outstanding:       w.Net.OutstandingPackets(),
+		Outstanding:       outstanding,
 	}
 	for _, h := range w.Hosts {
 		row.Resyncs += h.NIC.Stats.Resyncs

@@ -11,8 +11,9 @@ import "testing"
 //   - The wire auditor must stay green: zero invariant violations at
 //     every intensity (tolerated anomalies like hw-resync slot rewrites
 //     are stats, not violations).
-//   - Every world must drain to quiescence and return all packets to the
-//     pool — fault storms may cost goodput, never leak resources.
+//   - Every world must drain to quiescence and return every packet and
+//     message buffer to its pool — fault storms may cost goodput, never
+//     leak resources.
 //   - Hardware-offload stacks must exercise the §3.2 resync machinery
 //     (retransmissions desynchronize the NIC's autonomous counter).
 func TestChaosFailClosed(t *testing.T) {
@@ -31,11 +32,7 @@ func TestChaosFailClosed(t *testing.T) {
 				if testing.Short() && level.Name != "storm" {
 					continue
 				}
-				sys, err := BuildFabric(stack)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := MeasureChaos(sys, level.C, chaosSeed(li))
+				r, err := MeasureChaos(stack, level.C, chaosSeed(li))
 				if err != nil {
 					t.Fatalf("%s: %v", level.Name, err)
 				}
@@ -50,7 +47,7 @@ func TestChaosFailClosed(t *testing.T) {
 					t.Errorf("%s: world did not quiesce after the run", level.Name)
 				}
 				if r.Outstanding != 0 {
-					t.Errorf("%s: %d packets leaked from the pool", level.Name, r.Outstanding)
+					t.Errorf("%s: %d packets or message buffers leaked from the pools", level.Name, r.Outstanding)
 				}
 				if r.WireTampered == 0 {
 					t.Errorf("%s: no tampered packets committed to delivery — fault injection inert", level.Name)

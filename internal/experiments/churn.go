@@ -90,7 +90,13 @@ func churnTopology() netsim.Topology {
 // arrivals from ChurnClients hosts, each connection dialing under
 // policy, issuing one churnReqBytes RPC and closing on the response.
 func MeasureChurn(spec StackSpec, policy HandshakePolicy, rate float64, seed int64) (ChurnRow, error) {
+	return measureChurn(spec, policy, rate, seed, nil)
+}
+
+// measureChurn is MeasureChurn with its world attached to a.
+func measureChurn(spec StackSpec, policy HandshakePolicy, rate float64, seed int64, a *auditScope) (ChurnRow, error) {
 	w := NewFabricWorld(seed, churnTopology())
+	a.attach(w, spec)
 	d, err := NewDialer(w, spec, DialConfig{Policy: policy, TicketTTL: ChurnTicketTTL})
 	if err != nil {
 		return ChurnRow{}, err

@@ -40,37 +40,20 @@ func TestChurnAudited(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			spec := mustStack(name)
 			policy := ChurnPolicyFor(spec)
-			SetAuditAll(true)
-			r, err := MeasureChurn(spec, policy, rate, ChurnSeed(rate))
-			SetAuditAll(false)
-			worlds := TakeAuditedWorlds()
+			a := &auditScope{on: true}
+			r, err := measureChurn(spec, policy, rate, ChurnSeed(rate), a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(worlds) == 0 {
-				t.Fatal("no audited world built")
+			if len(a.worlds) != 1 {
+				t.Fatalf("churn point audited %d worlds, want 1", len(a.worlds))
 			}
-			for _, w := range worlds {
-				if !w.DrainQuiesce(2 * sim.Second) {
-					t.Errorf("world did not quiesce (%d events pending)", w.Eng.Pending())
-					continue
-				}
-				w.Audit.CheckConservation(w.Net)
-				st := w.Audit.Stats()
-				if st.TotalViolations != 0 {
-					for _, v := range w.Audit.Violations() {
-						t.Errorf("violation: %s", v)
-					}
-				}
-				if policy != HSNone && st.HandshakePackets == 0 {
-					t.Error("dialed encrypted stack put no handshake flights on the wire")
-				}
-				if n := w.Net.OutstandingPackets(); n != 0 {
-					t.Errorf("%d pooled packets outstanding at quiescence", n)
-				}
-				if n := w.Net.Bufs().Outstanding(); n != 0 {
-					t.Errorf("%d message buffers outstanding at quiescence", n)
-				}
+			w := a.worlds[0]
+			if _, _, err := settle(w); err != nil {
+				t.Error(err)
+			}
+			if policy != HSNone && w.Audit.Stats().HandshakePackets == 0 {
+				t.Error("dialed encrypted stack put no handshake flights on the wire")
 			}
 			t.Logf("%s/%s @%.0f/s: dials=%d est=%d done=%d setup p50=%.0fµs p99=%.0fµs hsCPU=%.1f%% hit=%.2f",
 				r.System, r.Policy, r.Rate, r.Dials, r.Established, r.Completed,

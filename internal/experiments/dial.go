@@ -419,9 +419,6 @@ func NewDialer(w *World, spec StackSpec, cfg DialConfig) (*Dialer, error) {
 	if err := d.validatePolicy(); err != nil {
 		return nil, err
 	}
-	if w.Audit != nil {
-		w.Audit.SetExpectCiphertext(spec.Record != RecordPlain)
-	}
 	if d.policy != HSNone {
 		id, err := handshake.NewIdentityRand(w.Eng.Rand())
 		if err != nil {

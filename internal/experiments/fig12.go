@@ -32,7 +32,13 @@ type Fig12Row struct {
 // short-chain verification are enabled for the SMT modes (§4.5.1); the
 // 1-RTT baseline is the stock handshake.
 func MeasureKeyExchange(mode handshake.Mode, size int, seed int64) (Fig12Row, error) {
+	return measureKeyExchange(mode, size, seed, nil)
+}
+
+// measureKeyExchange is MeasureKeyExchange with its world attached to a.
+func measureKeyExchange(mode handshake.Mode, size int, seed int64, a *auditScope) (Fig12Row, error) {
 	w := NewWorld(seed)
+	a.attach(w, mustStack("SMT-sw")) // the exchange keys software SMT sockets
 	srv := core.NewSocket(w.Server, core.Config{Transport: homa.Config{Port: ServerPort}})
 	cli := core.NewSocket(w.Client, core.Config{})
 	srv.OnMessage(func(d homa.Delivery) {

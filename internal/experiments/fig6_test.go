@@ -37,6 +37,9 @@ func testFig6Shape(t *testing.T) {
 	})
 	for _, r := range rows {
 		t.Logf("%-8s %6dB mean=%v n=%d", r.System, r.Size, r.MeanRTT, r.N)
+		if r.MeanRTT <= 0 || r.N == 0 {
+			t.Errorf("%s %dB: non-positive RTT %v over %d RPCs", r.System, r.Size, r.MeanRTT, r.N)
+		}
 	}
 	for _, size := range sizes {
 		tcp := rttOf(rows, "TCP", size)

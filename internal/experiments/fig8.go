@@ -188,25 +188,24 @@ func redisOverTCP(name string, rec *streamRecord) redisSystem {
 // BuildFabric's matrix: bytestream record layers plug into the TCP
 // wiring, the message transport carries plain Homa or SMT records, and
 // inexpressible combinations return the same descriptive errors.
-func BuildRedis(spec StackSpec) (redisSystem, error) {
-	sys, err := buildRedis(spec)
+func BuildRedis(spec StackSpec) (redisSystem, error) { return buildRedis(spec, nil) }
+
+// buildRedis is BuildRedis with buildFabric's audit attachment.
+func buildRedis(spec StackSpec, a *auditScope) (redisSystem, error) {
+	sys, err := composeRedis(spec)
 	if err != nil {
 		return redisSystem{}, err
 	}
-	// Declare the spec's encryption policy to the world's wire auditor
-	// (when one is attached), mirroring BuildFabric.
-	encrypted := spec.Record != RecordPlain
 	inner := sys.setup
 	sys.setup = func(w *World, streams, valueSize int, done func(uint64, []byte)) (func(int, uint64, []byte), error) {
-		if w.Audit != nil {
-			w.Audit.SetExpectCiphertext(encrypted)
-		}
+		a.attach(w, spec)
 		return inner(w, streams, valueSize, done)
 	}
 	return sys, nil
 }
 
-func buildRedis(spec StackSpec) (redisSystem, error) {
+// composeRedis assembles the spec's Redis wiring.
+func composeRedis(spec StackSpec) (redisSystem, error) {
 	switch spec.Transport {
 	case TransportTCP:
 		rec, err := streamRecordFor(spec)

@@ -17,7 +17,10 @@ import (
 // lineup-driven sweeps (fig6, fig7, fig9, incast, multiclient,
 // loadsweep, churn) decompose over the lineup they are handed —
 // RunOptions.Stacks, DefaultLineup unless smtexp -stacks selects
-// another; every other builder ignores it.
+// another; every other sweep ignores it. Every Run closure passes its
+// audit scope to the build functions and measurements that make its
+// worlds (buildFabric, buildRedis, measureKeyExchange, measureChurn,
+// measureChaos), so an audited run audits them all.
 
 func itoa(v int) string { return strconv.Itoa(v) }
 
@@ -30,12 +33,12 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/size=%d", stack.Name, size),
 					Seed:   42,
 					Labels: Labels{"system": stack.Name, "size": itoa(size)},
-					Run: func() (Values, error) {
-						sys, err := BuildSystem(stack)
+					Run: func(a *auditScope) (Values, error) {
+						sys, err := buildFabric(stack, a)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureRTT(sys, size, 0, false, 42)
+						r, err := MeasureRTT(sys.System(), size, 0, false, 42)
 						if err != nil {
 							return nil, err
 						}
@@ -56,12 +59,12 @@ func init() {
 						Key:    fmt.Sprintf("sys=%s/size=%d/conc=%d", stack.Name, size, c),
 						Seed:   1000 + int64(c),
 						Labels: Labels{"system": stack.Name, "size": itoa(size), "concurrency": itoa(c)},
-						Run: func() (Values, error) {
-							sys, err := BuildSystem(stack)
+						Run: func(a *auditScope) (Values, error) {
+							sys, err := buildFabric(stack, a)
 							if err != nil {
 								return nil, err
 							}
-							r, err := MeasureThroughput(sys, size, c, 0, 0, 1000+int64(c))
+							r, err := MeasureThroughput(sys.System(), size, c, 0, 0, 1000+int64(c))
 							if err != nil {
 								return nil, err
 							}
@@ -91,12 +94,12 @@ func init() {
 						Key:    fmt.Sprintf("sys=%s/mtu=%d/conc=%d", name, mtu, c),
 						Seed:   2000 + int64(c),
 						Labels: Labels{"system": name, "mtu": itoa(mtu), "concurrency": itoa(c)},
-						Run: func() (Values, error) {
-							sys, err := BuildSystem(stack)
+						Run: func(a *auditScope) (Values, error) {
+							sys, err := buildFabric(stack, a)
 							if err != nil {
 								return nil, err
 							}
-							r, err := MeasureThroughput(sys, 8192, c, mtu, 0, 2000+int64(c))
+							r, err := MeasureThroughput(sys.System(), 8192, c, mtu, 0, 2000+int64(c))
 							if err != nil {
 								return nil, err
 							}
@@ -116,12 +119,12 @@ func init() {
 				Key:    "sys=" + stack.Name,
 				Seed:   77,
 				Labels: Labels{"system": stack.Name, "target_rate": "1.2e6"},
-				Run: func() (Values, error) {
-					sys, err := BuildSystem(stack)
+				Run: func(a *auditScope) (Values, error) {
+					sys, err := buildFabric(stack, a)
 					if err != nil {
 						return nil, err
 					}
-					r, err := MeasureCPUUsage(sys, 1.2e6)
+					r, err := MeasureCPUUsage(sys.System(), 1.2e6)
 					if err != nil {
 						return nil, err
 					}
@@ -141,8 +144,8 @@ func init() {
 						Key:    fmt.Sprintf("sys=%s/wl=%s/value=%d", stack.Name, wl, v),
 						Seed:   333,
 						Labels: Labels{"system": stack.Name, "workload": wl.String(), "value": itoa(v)},
-						Run: func() (Values, error) {
-							sys, err := BuildRedis(stack)
+						Run: func(a *auditScope) (Values, error) {
+							sys, err := buildRedis(stack, a)
 							if err != nil {
 								return nil, err
 							}
@@ -167,12 +170,12 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/iodepth=%d", stack.Name, d),
 					Seed:   444,
 					Labels: Labels{"system": stack.Name, "iodepth": itoa(d)},
-					Run: func() (Values, error) {
-						sys, err := BuildSystem(stack)
+					Run: func(a *auditScope) (Values, error) {
+						sys, err := buildFabric(stack, a)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureNVMeoF(sys, d, 444)
+						r, err := MeasureNVMeoF(sys.System(), d, 444)
 						if err != nil {
 							return nil, err
 						}
@@ -193,12 +196,12 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/size=%d", stack.Name, size),
 					Seed:   77,
 					Labels: Labels{"system": stack.Name, "size": itoa(size)},
-					Run: func() (Values, error) {
-						sys, err := BuildSystem(stack)
+					Run: func(a *auditScope) (Values, error) {
+						sys, err := buildFabric(stack, a)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureRTT(sys, size, 0, false, 77)
+						r, err := MeasureRTT(sys.System(), size, 0, false, 77)
 						if err != nil {
 							return nil, err
 						}
@@ -222,12 +225,12 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/size=%d", name, size),
 					Seed:   88,
 					Labels: Labels{"system": name, "size": itoa(size), "tso": fmt.Sprint(!noTSO)},
-					Run: func() (Values, error) {
-						sys, err := BuildSystem(mustStack("SMT-hw"))
+					Run: func(a *auditScope) (Values, error) {
+						sys, err := buildFabric(mustStack("SMT-hw"), a)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureRTT(sys, size, 0, noTSO, 88)
+						r, err := MeasureRTT(sys.System(), size, 0, noTSO, 88)
 						if err != nil {
 							return nil, err
 						}
@@ -247,8 +250,8 @@ func init() {
 					Key:    fmt.Sprintf("mode=%s/size=%d", m, size),
 					Seed:   5000,
 					Labels: Labels{"mode": m.String(), "size": itoa(size)},
-					Run: func() (Values, error) {
-						r, err := MeasureKeyExchange(m, size, 5000)
+					Run: func(a *auditScope) (Values, error) {
+						r, err := measureKeyExchange(m, size, 5000, a)
 						if err != nil {
 							return nil, err
 						}
@@ -269,8 +272,8 @@ func init() {
 						Key:    fmt.Sprintf("sys=%s/clients=%d/size=%d", stack.Name, m, size),
 						Seed:   9000 + int64(m),
 						Labels: Labels{"system": stack.Name, "clients": itoa(m), "size": itoa(size)},
-						Run: func() (Values, error) {
-							sys, err := BuildFabric(stack)
+						Run: func(a *auditScope) (Values, error) {
+							sys, err := buildFabric(stack, a)
 							if err != nil {
 								return nil, err
 							}
@@ -295,8 +298,8 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/clients=%d", stack.Name, m),
 					Seed:   8000 + int64(m),
 					Labels: Labels{"system": stack.Name, "clients": itoa(m)},
-					Run: func() (Values, error) {
-						sys, err := BuildFabric(stack)
+					Run: func(a *auditScope) (Values, error) {
+						sys, err := buildFabric(stack, a)
 						if err != nil {
 							return nil, err
 						}
@@ -327,8 +330,8 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/load=%d", stack.Name, LoadSweepPercent(load)),
 					Seed:   LoadSweepSeed(load),
 					Labels: Labels{"system": stack.Name, "load": fmt.Sprintf("%.2f", load), "dist": LoadSweepDist().Name()},
-					Run: func() (Values, error) {
-						sys, err := BuildFabric(stack)
+					Run: func(a *auditScope) (Values, error) {
+						sys, err := buildFabric(stack, a)
 						if err != nil {
 							return nil, err
 						}
@@ -356,8 +359,8 @@ func init() {
 					"load":   fmt.Sprintf("%.2f", BigWorldLoad),
 					"dist":   LoadSweepDist().Name(),
 				},
-				Run: func() (Values, error) {
-					sys, err := BuildFabric(stack)
+				Run: func(a *auditScope) (Values, error) {
+					sys, err := buildFabric(stack, a)
 					if err != nil {
 						return nil, err
 					}
@@ -389,8 +392,8 @@ func init() {
 						"rate":   fmt.Sprintf("%.0f", rate),
 						"hs":     pt.Policy.String(),
 					},
-					Run: func() (Values, error) {
-						r, err := MeasureChurn(pt.Spec, pt.Policy, rate, ChurnSeed(rate))
+					Run: func(a *auditScope) (Values, error) {
+						r, err := measureChurn(pt.Spec, pt.Policy, rate, ChurnSeed(rate), a)
 						if err != nil {
 							return nil, err
 						}
@@ -413,12 +416,8 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/fault=%s", stack.Name, level.Name),
 					Seed:   seed,
 					Labels: Labels{"system": stack.Name, "fault": level.Name},
-					Run: func() (Values, error) {
-						sys, err := BuildFabric(stack)
-						if err != nil {
-							return nil, err
-						}
-						r, err := MeasureChaos(sys, level.C, seed)
+					Run: func(a *auditScope) (Values, error) {
+						r, err := measureChaos(stack, level.C, seed, a)
 						if err != nil {
 							return nil, err
 						}
@@ -438,7 +437,7 @@ func init() {
 				Key:    name,
 				Seed:   1,
 				Labels: Labels{"scenario": name},
-				Run: func() (Values, error) {
+				Run: func(*auditScope) (Values, error) {
 					r := Fig2Scenario(i)
 					dec := 0.0
 					if r.Decrypted {
@@ -463,7 +462,7 @@ func init() {
 			specs = append(specs, pointSpec{
 				Key:    fmt.Sprintf("size_bits=%d", r.SizeBits),
 				Labels: Labels{"size_bits": itoa(r.SizeBits), "id_bits": itoa(r.IDBits)},
-				Run: func() (Values, error) {
+				Run: func(*auditScope) (Values, error) {
 					return Values{
 						"size_bits":           float64(r.SizeBits),
 						"id_bits":             float64(r.IDBits),
@@ -483,7 +482,7 @@ func init() {
 		for i := range rows {
 			specs = append(specs, pointSpec{
 				Key: "sys=" + rows[i].System,
-				Run: func() (Values, error) {
+				Run: func(*auditScope) (Values, error) {
 					return nil, nil
 				},
 				Labels: Labels{
@@ -504,7 +503,7 @@ func init() {
 		// together; values are wall-clock and so machine-dependent.
 		return []pointSpec{{
 			Key: "all-ops",
-			Run: func() (Values, error) {
+			Run: func(*auditScope) (Values, error) {
 				vals := Values{}
 				for _, r := range handshake.MeasureTable2() {
 					vals["paper_us/"+r.Name] = r.PaperUs

@@ -76,24 +76,32 @@ type Result struct {
 	// simulation cost, not the virtual-time result).
 	ElapsedMs float64 `json:"elapsed_ms"`
 	// Err is set when the point returned an error (a stack that could
-	// not be built or wired) or panicked instead of completing.
+	// not be built or wired), panicked instead of completing, or — in an
+	// audited run — left a world that did not settle clean.
 	Err string `json:"error,omitempty"`
+	// AuditedWorlds counts the worlds the runner settled after the
+	// point returned: every world an audited point built, and the chaos
+	// battery's always-audited world. Runner metadata, never part of
+	// the artifact.
+	AuditedWorlds int `json:"-"`
 }
 
 // pointSpec is the in-package building block of registered experiments:
 // one cell's identity plus the closure that measures it. Run reports
 // setup failures (unbuildable stacks, key material) as error returns;
-// panics are still recovered as a last resort.
+// panics are still recovered as a last resort. Run hands its audit
+// scope to every world it builds (see audit.go).
 type pointSpec struct {
 	Key    string
 	Seed   int64
 	Labels Labels
-	Run    func() (Values, error)
+	Run    func(a *auditScope) (Values, error)
 }
 
 // runPoint executes one point against a decomposition built once per
-// RunPoints call. It must not depend on any other point having run.
-func (e *Experiment) runPoint(specs []pointSpec, p Point) Result {
+// RunPoints call, auditing its worlds when audit is set. It must not
+// depend on any other point having run.
+func (e *Experiment) runPoint(specs []pointSpec, p Point, audit bool) Result {
 	res := Result{Experiment: e.name, Index: p.Index, Key: p.Key, Seed: p.Seed}
 	if p.Index < 0 || p.Index >= len(specs) {
 		res.Err = fmt.Sprintf("point index %d out of range [0,%d)", p.Index, len(specs))
@@ -109,6 +117,7 @@ func (e *Experiment) runPoint(specs []pointSpec, p Point) Result {
 	res.Key, res.Seed, res.Labels = s.Key, s.Seed, s.Labels
 	//smt:allow determinism -- wall-clock elapsed time is runner metadata, never part of the measured artifact
 	start := time.Now()
+	a := &auditScope{on: audit}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -116,11 +125,17 @@ func (e *Experiment) runPoint(specs []pointSpec, p Point) Result {
 			}
 		}()
 		var err error
-		res.Values, err = s.Run()
+		res.Values, err = s.Run(a)
 		if err != nil {
 			res.Err = err.Error()
 		}
 	}()
+	res.AuditedWorlds = len(a.worlds)
+	for i := 0; res.Err == "" && i < len(a.worlds); i++ {
+		if _, _, err := settle(a.worlds[i]); err != nil {
+			res.Err = fmt.Sprintf("%s: audited world %d of %d: %v", s.Key, i+1, len(a.worlds), err)
+		}
+	}
 	//smt:allow determinism -- wall-clock elapsed time is runner metadata, never part of the measured artifact
 	res.ElapsedMs = float64(time.Since(start)) / 1e6
 	return res

@@ -206,7 +206,7 @@ func TestRunOutOfRangePoint(t *testing.T) {
 // Result.Err rather than killing the worker pool.
 func TestRunRecoversPanic(t *testing.T) {
 	e := &Experiment{name: "boom", desc: "test", build: func([]StackSpec) []pointSpec {
-		return []pointSpec{{Key: "p0", Run: func() (Values, error) { panic("kaboom") }}}
+		return []pointSpec{{Key: "p0", Run: func(*auditScope) (Values, error) { panic("kaboom") }}}
 	}}
 	res := Run(e, RunOptions{Workers: 2})
 	if len(res) != 1 || res[0].Err != "kaboom" {

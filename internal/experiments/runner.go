@@ -21,6 +21,11 @@ type RunOptions struct {
 	// (smtexp -stacks); nil or empty means DefaultLineup. A spec that
 	// cannot be built fails its points with Result.Err.
 	Stacks []StackSpec
+	// Audit attaches the wire-compliance auditor to every world each
+	// point builds and settles those worlds when the point returns
+	// (smtexp -audit; see audit.go). A world that does not settle clean
+	// fails its point. Artifacts are byte-identical either way.
+	Audit bool
 	// OnResult, when non-nil, observes each result as it completes
 	// (completion order, not point order). It is called from worker
 	// goroutines and must be safe for concurrent use.
@@ -94,7 +99,7 @@ func RunPoints(e *Experiment, pts []Point, opts RunOptions) []Result {
 	specs := e.build(lineupOrDefault(opts.Stacks))
 	results := make([]Result, len(pts))
 	ForEach(len(pts), opts.workers(), func(i int) {
-		results[i] = e.runPoint(specs, pts[i])
+		results[i] = e.runPoint(specs, pts[i], opts.Audit)
 		if opts.OnResult != nil {
 			opts.OnResult(results[i])
 		}

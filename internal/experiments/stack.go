@@ -156,34 +156,26 @@ func streamRecordFor(spec StackSpec) (*streamRecord, error) {
 // codec/session setup from the record-layer constructors above. A
 // combination the decomposition cannot express returns a descriptive
 // error; nothing in the build path panics on bad input.
-//
-// The composed Setup also declares the spec's encryption policy to the
-// world's wire auditor (when one is attached): plain record layers are
-// allowed plaintext on the wire, everything else must show ciphertext.
-func BuildFabric(spec StackSpec) (FabricSystem, error) {
-	f, err := buildFabric(spec)
-	if err != nil {
-		return FabricSystem{}, err
-	}
-	return withAuditPolicy(f, spec.Record != RecordPlain), nil
-}
+func BuildFabric(spec StackSpec) (FabricSystem, error) { return buildFabric(spec, nil) }
 
-// withAuditPolicy wraps a fabric Setup so the world's auditor (if any)
-// learns whether this stack's data path is expected to be ciphertext
-// before any traffic flows.
-func withAuditPolicy(f FabricSystem, encrypted bool) FabricSystem {
+// buildFabric is BuildFabric for a registry point: when a is on, the
+// composed Setup attaches an auditor to the world it wires before any
+// traffic flows.
+func buildFabric(spec StackSpec, a *auditScope) (FabricSystem, error) {
+	f, err := composeFabric(spec)
+	if err != nil {
+		return f, err
+	}
 	inner := f.Setup
 	f.Setup = func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-		if w.Audit != nil {
-			w.Audit.SetExpectCiphertext(encrypted)
-		}
+		a.attach(w, spec)
 		return inner(w, clients, server, cfg, done)
 	}
-	return f
+	return f, nil
 }
 
-// buildFabric is BuildFabric without the audit-policy wrapper.
-func buildFabric(spec StackSpec) (FabricSystem, error) {
+// composeFabric assembles the spec's transport and record layer.
+func composeFabric(spec StackSpec) (FabricSystem, error) {
 	switch spec.Transport {
 	case TransportTCP:
 		rec, err := streamRecordFor(spec)

@@ -77,9 +77,10 @@ type World struct {
 	Client *cpusim.Host // Hosts[0]
 	Server *cpusim.Host // Hosts[1]
 
-	// Audit is the wire-compliance auditor tapping Net, nil unless
-	// EnableAudit or SetAuditAll attached one. Purely an observer:
-	// artifacts are byte-identical with or without it.
+	// Audit is the wire-compliance auditor tapping Net: nil unless the
+	// world was built by an audited point (RunOptions.Audit) or by the
+	// chaos battery, which always audits (see audit.go). Purely an
+	// observer: artifacts are byte-identical with or without it.
 	Audit *audit.Auditor
 
 	// Check, when non-nil, observes every RPC payload the fabric
@@ -116,7 +117,6 @@ func NewFabricWorld(seed int64, topo netsim.Topology) *World {
 		w.Hosts = append(w.Hosts, cpusim.NewHost(eng, cm, net, wire.HostAddr(i), StackCores, AppThreads))
 	}
 	w.Client, w.Server = w.Hosts[0], w.Hosts[1]
-	maybeAuditWorld(w)
 	return w
 }
 

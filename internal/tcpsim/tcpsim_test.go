@@ -280,3 +280,66 @@ func TestSendBufferReuseUnderLoss(t *testing.T) {
 		t.Errorf("%d packets outstanding", out)
 	}
 }
+
+// seqTap records the payload of every data packet the network sees
+// leaving port at stream offset seq.
+type seqTap struct {
+	port uint16
+	seq  uint32
+	got  [][]byte
+}
+
+func (s *seqTap) PacketSent(pkt *wire.Packet) {
+	o := pkt.Overlay
+	if o.Type == wire.TypeData && o.SrcPort == s.port && o.TSOOffset == s.seq {
+		s.got = append(s.got, append([]byte(nil), pkt.Payload...))
+	}
+}
+func (s *seqTap) PacketDropped(*wire.Packet, netsim.DropReason) {}
+func (s *seqTap) PacketDelivered(*wire.Packet, bool)            {}
+
+// TestRetransmitCopiesAtDecision pins retransmitFrom's synchronous copy.
+// Between the retransmit decision and its deferred softirq send, a
+// cumulative ACK returns the chunk's buffer to the world pool and the
+// next SendMessage takes that same buffer and overwrites it. The
+// retransmission must still carry the original bytes: a copy deferred
+// into the softirq work would send the new message's bytes (or none)
+// at the old stream offset.
+func TestRetransmitCopiesAtDecision(t *testing.T) {
+	w := newWorld(11)
+	cli, _ := connect(t, w, Config{})
+	first := pattern(1000)
+	second := bytes.Repeat([]byte{0xee}, len(first))
+	w.eng.At(w.eng.Now(), func() { cli.SendMessage(first) })
+	for len(cli.chunks) == 0 {
+		w.eng.RunUntil(w.eng.Now() + sim.Microsecond)
+	}
+	tc := cli.chunks[0]
+	want := append([]byte(nil), tc.chunk.Bytes...)
+	buf := tc.chunk.Buf
+	tap := &seqTap{port: cli.localPort, seq: uint32(tc.seq)}
+	w.net.SetTap(tap)
+	var sent int
+	w.eng.At(w.eng.Now(), func() {
+		sent = len(tap.got)
+		cli.retransmitFrom(tc.seq)
+		cli.handleAck(cli.highWater) // releases the chunk's buffer
+		cli.SendMessage(second)      // framed into the buffer just released
+		if len(tap.got) != sent {
+			t.Error("retransmission was not deferred to softirq work")
+		}
+	})
+	w.eng.RunUntil(w.eng.Now() + 5*sim.Millisecond)
+	if !bytes.Equal(buf[4:4+len(second)], second) {
+		t.Fatal("the next SendMessage did not reuse the released chunk buffer; the test no longer forces the race")
+	}
+	if len(tap.got) <= sent {
+		t.Fatal("no retransmission at the chunk's offset reached the wire")
+	}
+	for i, p := range tap.got {
+		if !bytes.Equal(p, want) {
+			t.Errorf("packet %d at offset %d carries %d bytes starting %x, want the original %d starting %x",
+				i, tap.seq, len(p), p[:min(8, len(p))], len(want), want[:8])
+		}
+	}
+}
