@@ -9,9 +9,10 @@ import (
 )
 
 // An Artifact is the machine-readable output of one runner invocation —
-// the format behind the BENCH_*.json trajectory: per-experiment,
+// what smtexp -json writes and the CI smoke steps read: per-experiment,
 // per-point results with coordinates, metric values and wall-clock
-// timings, plus enough metadata to attribute the run.
+// timings, plus enough metadata to attribute the run. (The BENCH_*.json
+// files are go test -bench output from cmd/benchsmoke, not artifacts.)
 
 // ArtifactVersion is bumped on incompatible schema changes.
 const ArtifactVersion = 1

@@ -29,15 +29,15 @@ type auditScope struct {
 
 // attach gives w an auditor when the scope is on and records w for
 // settlement. It is the one place a stack's encryption policy reaches
-// the auditor: every record layer but plain must show ciphertext on the
-// wire, plain stacks may carry plaintext. Callers attach before w
-// carries its first packet.
-func (s *auditScope) attach(w *World, spec StackSpec) {
+// the auditor: an encrypted stack (stackWiring.encrypted) must show
+// ciphertext on the wire, a plain stack may carry plaintext. Callers
+// attach before w carries its first packet.
+func (s *auditScope) attach(w *World, encrypted bool) {
 	if s == nil || !s.on {
 		return
 	}
 	w.Audit = audit.New()
-	w.Audit.SetExpectCiphertext(spec.Record != RecordPlain)
+	w.Audit.SetExpectCiphertext(encrypted)
 	w.Net.SetTap(w.Audit)
 	s.worlds = append(s.worlds, w)
 }

@@ -96,11 +96,11 @@ func MeasureChurn(spec StackSpec, policy HandshakePolicy, rate float64, seed int
 // measureChurn is MeasureChurn with its world attached to a.
 func measureChurn(spec StackSpec, policy HandshakePolicy, rate float64, seed int64, a *auditScope) (ChurnRow, error) {
 	w := NewFabricWorld(seed, churnTopology())
-	a.attach(w, spec)
 	d, err := NewDialer(w, spec, DialConfig{Policy: policy, TicketTTL: ChurnTicketTTL})
 	if err != nil {
 		return ChurnRow{}, err
 	}
+	a.attach(w, d.sw.encrypted())
 	clients := w.ClientHosts()
 
 	start := w.Eng.Now()

@@ -120,40 +120,72 @@ func TestChurnZeroRTTSeparation(t *testing.T) {
 	}
 }
 
-// TestDialedMatchesPrepaired: once established, a dialed connection is
-// the same connection the pre-paired fast path builds — steady-state
-// RPC latency must agree closely (the keys differ, the costs don't).
+// TestDialedMatchesPrepaired: once established, a connection the
+// Dialer opens with a live 1-RTT exchange is the same connection the
+// pre-paired fast path (BuildFabric) builds — steady-state RPC latency
+// over two such connections must agree closely (the keys differ, the
+// costs don't).
 func TestDialedMatchesPrepaired(t *testing.T) {
+	const streams = 2
 	for _, name := range []string{"SMT-sw", "kTLS-sw"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			sys := must(BuildFabric(mustStack(name)))
-			measure := func(dialed bool) float64 {
+			spec := mustStack(name)
+			// measure wires streams connections on a fresh world with
+			// connect, then runs the closed loop over them.
+			measure := func(label string, connect func(w *World, done func(reqID uint64)) (issue func(stream int, reqID uint64))) float64 {
 				w := NewFabricWorld(777, netsim.Topology{Hosts: 2})
 				var loop *rpc.ClosedLoop
-				issue, err := sys.Setup(w, []*cpusim.Host{w.Client}, w.Server,
-					FabricConfig{StreamsPerClient: 2, MTU: mtuOrDefault(0), Dialed: dialed},
-					func(_ int, reqID uint64) { loop.Done(reqID) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				loop = rpc.NewClosedLoop(w.Eng, func(stream int, reqID uint64) {
-					issue(0, stream, reqID, 1024, rpc.MinSize)
-				})
+				issue := connect(w, func(reqID uint64) { loop.Done(reqID) })
+				loop = rpc.NewClosedLoop(w.Eng, issue)
 				start := w.Eng.Now()
-				loop.Start(2, start+200*sim.Microsecond, start+3*sim.Millisecond)
+				loop.Start(streams, start+200*sim.Microsecond, start+3*sim.Millisecond)
 				w.Eng.RunUntil(start + 4*sim.Millisecond)
 				if loop.Completed == 0 {
-					t.Fatalf("dialed=%v: no RPCs completed", dialed)
+					t.Fatalf("%s: no RPCs completed", label)
 				}
 				return loop.Latency.Mean()
 			}
-			pre := measure(false)
-			dialed := measure(true)
+			pre := measure("pre-paired", func(w *World, done func(uint64)) func(int, uint64) {
+				issue, err := must(BuildFabric(spec)).Setup(w, []*cpusim.Host{w.Client}, w.Server,
+					FabricConfig{StreamsPerClient: streams, MTU: mtuOrDefault(0)},
+					func(_ int, reqID uint64) { done(reqID) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return func(stream int, reqID uint64) { issue(0, stream, reqID, 1024, rpc.MinSize) }
+			})
+			dialed := measure("dialed", func(w *World, done func(uint64)) func(int, uint64) {
+				d, err := NewDialer(w, spec, DialConfig{Policy: HS1RTT, MTU: mtuOrDefault(0)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				conns := make([]*DialedConn, streams)
+				for i := range conns {
+					i := i
+					d.Dial(w.Client, done, func(c *DialedConn, err error) {
+						if err != nil {
+							t.Errorf("dial %d: %v", i, err)
+							return
+						}
+						conns[i] = c
+					})
+				}
+				deadline := w.Eng.Now() + 50*sim.Millisecond
+				for d.Established+d.Failed < streams && w.Eng.Now() < deadline {
+					w.Eng.RunUntil(w.Eng.Now() + sim.Millisecond)
+				}
+				if d.Established != streams || d.HsCliCPU == 0 || d.HsSrvCPU == 0 {
+					t.Fatalf("dialed: %d of %d 1-RTT connections established (handshake CPU cli %v srv %v)",
+						d.Established, streams, d.HsCliCPU, d.HsSrvCPU)
+				}
+				return func(stream int, reqID uint64) { conns[stream].Issue(reqID, 1024, rpc.MinSize) }
+			})
 			if r := dialed/pre - 1; r < -0.03 || r > 0.03 {
 				t.Errorf("steady-state mean RPC latency diverges: pre-paired %.1fns, dialed %.1fns (%.1f%%)",
 					pre, dialed, r*100)
 			}
+			t.Logf("pre-paired %.1fns, dialed %.1fns", pre, dialed)
 		})
 	}
 }

@@ -13,9 +13,10 @@
 //     session resumption), with app traffic admitted only after keys
 //     are installed on both ends.
 //
-// The fabric wirings' FabricConfig.Dialed flag (world.go) uses the
-// same conduits to establish the long-lived figure-experiment
-// connections by dialing instead of pre-pairing.
+// The Dialer is the one dialed path. The figure experiments' fabric
+// wirings pre-pair their long-lived sessions instead (world.go's wire),
+// and TestDialedMatchesPrepaired pins that a dialed connection carries
+// steady-state traffic at the same cost as a pre-paired one.
 package experiments
 
 import (
@@ -27,7 +28,6 @@ import (
 	"smt/internal/handshake"
 	"smt/internal/homa"
 	"smt/internal/ktls"
-	"smt/internal/rpc"
 	"smt/internal/sim"
 	"smt/internal/tcpsim"
 	"smt/internal/wire"
@@ -74,15 +74,14 @@ func (f *flightRx) feed(n int) {
 // NOT auto-released by the homa receive path, so the handlers release
 // them here after reading the length.
 type smtHsServer struct {
-	w       *World
 	srv     *core.Socket
 	srvHost *cpusim.Host
 	mtu     int
 	pending map[hsKey]*smtConduit
 }
 
-func newSMTHsServer(w *World, srv *core.Socket, srvHost *cpusim.Host, mtu int) *smtHsServer {
-	h := &smtHsServer{w: w, srv: srv, srvHost: srvHost, mtu: mtuOrDefault(mtu), pending: make(map[hsKey]*smtConduit)}
+func newSMTHsServer(srv *core.Socket, mtu int) *smtHsServer {
+	h := &smtHsServer{srv: srv, srvHost: srv.Host(), mtu: mtuOrDefault(mtu), pending: make(map[hsKey]*smtConduit)}
 	srv.OnHandshake(func(pkt *wire.Packet, _ int) {
 		k := hsKey{pkt.IP.Src, pkt.Overlay.SrcPort}
 		n := len(pkt.Payload)
@@ -171,7 +170,7 @@ func (c *tcpConduit) ToClient(size int, deliver func()) {
 	c.srv.SendHandshake(hsFiller[:size])
 }
 
-// streamKeysFromResult converts an exchange result to the kTLS key
+// installStreamCodecs converts an exchange result to the kTLS key
 // shape and installs the mirrored codecs on both connection ends.
 func installStreamCodecs(w *World, rec *streamRecord, cliConn, srvConn *tcpsim.Conn, res handshake.Result) error {
 	ck := ktls.Keys{TxKey: res.Client.TxKey, TxIV: res.Client.TxIV, RxKey: res.Client.RxKey, RxIV: res.Client.RxIV}
@@ -187,110 +186,6 @@ func installStreamCodecs(w *World, rec *streamRecord, cliConn, srvConn *tcpsim.C
 	cliConn.SetCodec(cc)
 	srvConn.SetCodec(sc)
 	return nil
-}
-
-// --- dialed setup for the fabric wirings (FabricConfig.Dialed) ---
-
-// dialBudget bounds the virtual time a Setup may spend establishing
-// its dialed connections. Exchanges serialize on the server's app
-// threads (~610 µs of server CPU each over 12 threads), so even the
-// widest fabric world finishes far inside this.
-const dialBudget = 500 * sim.Millisecond
-
-// awaitExchanges pumps the engine until all launched exchanges have
-// completed (successfully or not), then reports the first failure.
-func awaitExchanges(w *World, name string, remaining *int, firstErr *error) error {
-	deadline := w.Eng.Now() + dialBudget
-	for *remaining > 0 && w.Eng.Now() < deadline {
-		w.Eng.RunUntil(w.Eng.Now() + sim.Millisecond)
-	}
-	if *firstErr != nil {
-		return fmt.Errorf("%s: dialed handshake: %w", name, *firstErr)
-	}
-	if *remaining > 0 {
-		return fmt.Errorf("%s: %d dialed handshakes incomplete after %v", name, *remaining, dialBudget)
-	}
-	return nil
-}
-
-// dialSMTSessions establishes every client's session with the SMT
-// server by running a 1-RTT exchange over the fabric and registering
-// the derived keys on both sockets — the dialed replacement for
-// core.PairSessions.
-func dialSMTSessions(w *World, name string, srv *core.Socket, server *cpusim.Host, clis []*core.Socket, clients []*cpusim.Host, mtu int) error {
-	serverID, err := handshake.NewIdentityRand(w.Eng.Rand())
-	if err != nil {
-		return fmt.Errorf("%s: server identity: %w", name, err)
-	}
-	hs := newSMTHsServer(w, srv, server, mtu)
-	remaining := len(clis)
-	var firstErr error
-	for ci, cli := range clis {
-		cli := cli
-		opts := handshake.Options{
-			Mode: handshake.Init1RTT, ServerID: serverID,
-			CliThread: ci % AppThreads, SrvThread: ci % AppThreads,
-		}
-		err := hs.exchange(clients[ci], cli, opts, func(res handshake.Result) {
-			remaining--
-			if res.Err != nil {
-				if firstErr == nil {
-					firstErr = res.Err
-				}
-				return
-			}
-			if _, err := cli.RegisterSession(server.Addr, ServerPort, res.Client); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if _, err := srv.RegisterSession(cli.Host().Addr, cli.Port(), res.Server); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-	}
-	return awaitExchanges(w, name, &remaining, &firstErr)
-}
-
-// dialTCPSessions runs a 1-RTT exchange over every established TCP
-// connection pair and installs the derived codecs — the dialed
-// replacement for the ktls.ConnKeys pre-paired codecs.
-func dialTCPSessions(w *World, name string, rec *streamRecord, conns [][]*tcpsim.Conn, srvConns map[hsKey]*tcpsim.Conn, clients []*cpusim.Host, server *cpusim.Host) error {
-	remaining := 0
-	var firstErr error
-	for ci := range conns {
-		ch := clients[ci]
-		for _, cliConn := range conns[ci] {
-			cliConn := cliConn
-			srvConn := srvConns[hsKey{ch.Addr, cliConn.LocalPort()}]
-			if srvConn == nil {
-				return fmt.Errorf("%s: no accepted server conn for %d:%d", name, ch.Addr, cliConn.LocalPort())
-			}
-			remaining++
-			conduit := newTCPConduit(cliConn, srvConn)
-			opts := handshake.Options{
-				Mode:      handshake.Init1RTT,
-				CliThread: cliConn.AppThread(), SrvThread: srvConn.AppThread(),
-			}
-			err := handshake.ExchangeOver(conduit, ch, server, opts, func(res handshake.Result) {
-				remaining--
-				if res.Err != nil {
-					if firstErr == nil {
-						firstErr = res.Err
-					}
-					return
-				}
-				if err := installStreamCodecs(w, rec, cliConn, srvConn, res); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			})
-			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-		}
-	}
-	return awaitExchanges(w, name, &remaining, &firstErr)
 }
 
 // --- churn dialer ---
@@ -376,25 +271,21 @@ type DialedConn struct {
 // byte flows. One Dialer owns the server side for its whole world.
 type Dialer struct {
 	w      *World
-	spec   StackSpec
+	sw     stackWiring
 	policy HandshakePolicy
 	cfg    DialConfig
-
-	encBuf []byte
+	echo   echoServer
 
 	// Resolver is the dcdns instance serving the server's SMT-ticket
 	// (HS0RTT); exported so the churn experiment reads its counters.
 	Resolver *dcdns.Resolver
 	serverID *handshake.Identity
 
-	// message-transport (homa/SMT) server side
-	smtSrv  *core.Socket
-	homaSrv *homa.Socket
-	hs      *smtHsServer
-	hw      bool
+	// hs carries SMT exchanges to the message-transport server socket.
+	hs *smtHsServer
 
-	// bytestream (TCP-family) server side
-	rec      *streamRecord
+	// bytestream server side: accepted connections awaiting their
+	// exchange, by client 4-tuple half
 	tcfg     tcpsim.Config
 	srvConns map[hsKey]*tcpsim.Conn
 
@@ -411,128 +302,74 @@ type Dialer struct {
 }
 
 // NewDialer wires the server side of a dialed echo service for spec
-// on w.Server and returns a Dialer for its clients. onResp fires on
-// the dialing client's host when a response for (conn-scoped) reqID
-// arrives — response routing is per connection, installed at Dial.
+// on w.Server and returns a Dialer for its clients. A spec outside the
+// buildable matrix fails with resolve's error, as BuildFabric does;
+// a policy the stack cannot run fails too.
 func NewDialer(w *World, spec StackSpec, cfg DialConfig) (*Dialer, error) {
-	d := &Dialer{w: w, spec: spec, policy: cfg.Policy, cfg: cfg, resumption: make(map[uint32][]byte)}
+	sw, err := resolve(spec)
+	if err != nil {
+		return nil, err
+	}
+	d := &Dialer{w: w, sw: sw, policy: cfg.Policy, cfg: cfg, echo: echoServer{w: w, host: w.Server}, resumption: make(map[uint32][]byte)}
 	if err := d.validatePolicy(); err != nil {
 		return nil, err
 	}
 	if d.policy != HSNone {
 		id, err := handshake.NewIdentityRand(w.Eng.Rand())
 		if err != nil {
-			return nil, fmt.Errorf("dial %s: server identity: %w", spec.Name, err)
+			return nil, fmt.Errorf("dial %s: server identity: %w", sw.name, err)
 		}
 		d.serverID = id
 		d.Resolver = dcdns.New(w.Eng, cfg.TicketTTL)
 		if err := d.Resolver.Register(dialService, id); err != nil {
-			return nil, fmt.Errorf("dial %s: %w", spec.Name, err)
+			return nil, fmt.Errorf("dial %s: %w", sw.name, err)
 		}
 	}
-	switch spec.Transport {
-	case TransportHoma:
-		if err := d.setupHomaServer(); err != nil {
-			return nil, err
+	if sw.msg {
+		srv := sw.newMsgSock(w.Server, homa.Config{Port: ServerPort, MTU: cfg.MTU, AppThreads: serverThreads()})
+		serveMsg(srv, d.echo.serve)
+		if d.policy != HSNone {
+			d.hs = newSMTHsServer(srv.(*core.Socket), cfg.MTU)
 		}
-	case TransportTCP:
-		if err := d.setupTCPServer(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("dial %s: unsupported transport %q", spec.Name, spec.Transport)
+		return d, nil
 	}
+	// Dialed connections start plaintext (nil codec factory) and get
+	// their negotiated codec installed when the exchange completes; no
+	// stream data flows before that.
+	d.tcfg = tcpsim.Config{MTU: cfg.MTU}
+	d.srvConns = make(map[hsKey]*tcpsim.Conn)
+	tcpsim.Listen(w.Server, serverPortK, d.tcfg, nil, func() int {
+		t := d.nextSrvThread
+		d.nextSrvThread = (d.nextSrvThread + 1) % AppThreads
+		return t
+	}, func(c *tcpsim.Conn) {
+		if d.policy != HSNone {
+			d.srvConns[hsKey{c.PeerAddr(), c.PeerPort()}] = c
+		}
+		serveConn(c, d.echo.serve)
+	})
 	return d, nil
 }
 
 // validatePolicy rejects policy × stack combinations that have no
 // meaning (a plaintext stack cannot run an exchange; SMT's 0-RTT
-// ticket path is transport-integrated, the TCP family resumes).
+// ticket path is transport-integrated, the TCP family resumes). Past
+// it, policy HSNone and a plaintext stack are the same condition.
 func (d *Dialer) validatePolicy() error {
-	switch d.spec.Record {
-	case RecordPlain:
+	switch {
+	case !d.sw.encrypted():
 		if d.policy != HSNone {
-			return fmt.Errorf("dial %s: plaintext stack cannot use policy %v", d.spec.Name, d.policy)
+			return fmt.Errorf("dial %s: plaintext stack cannot use policy %v", d.sw.name, d.policy)
 		}
-	case RecordSMTSW, RecordSMTHW:
+	case d.sw.smt:
 		if d.policy != HS0RTT && d.policy != HS1RTT {
-			return fmt.Errorf("dial %s: SMT stack supports 0rtt/1rtt, not %v", d.spec.Name, d.policy)
+			return fmt.Errorf("dial %s: SMT stack supports 0rtt/1rtt, not %v", d.sw.name, d.policy)
 		}
 	default:
 		if d.policy != HSResume && d.policy != HS1RTT {
-			return fmt.Errorf("dial %s: stream stack supports resume/1rtt, not %v", d.spec.Name, d.policy)
+			return fmt.Errorf("dial %s: stream stack supports resume/1rtt, not %v", d.sw.name, d.policy)
 		}
 	}
-	return nil
-}
-
-func (d *Dialer) serveRPC(appThread int, payload []byte, send func(resp []byte)) {
-	d.w.checkDelivery(payload)
-	id, respSize, err := rpc.Decode(payload)
-	if err != nil {
-		return
-	}
-	d.w.Server.RunApp(appThread, d.w.CM.AppLogic, func() {
-		d.encBuf = rpc.AppendEncode(d.encBuf, id, 0, int(respSize))
-		send(d.encBuf)
-	})
-}
-
-func (d *Dialer) setupHomaServer() error {
-	tcfg := homa.Config{Port: ServerPort, MTU: d.cfg.MTU, AppThreads: serverThreads()}
-	switch d.spec.Record {
-	case RecordPlain:
-		d.homaSrv = homa.NewSocket(d.w.Server, tcfg, nil)
-		d.homaSrv.OnMessage(func(dv homa.Delivery) {
-			d.serveRPC(dv.AppThread, dv.Payload, func(resp []byte) {
-				d.homaSrv.Send(dv.Src, dv.SrcPort, resp, dv.AppThread)
-			})
-		})
-	case RecordSMTSW, RecordSMTHW:
-		d.hw = d.spec.Record == RecordSMTHW
-		d.smtSrv = core.NewSocket(d.w.Server, core.Config{Transport: tcfg, HWOffload: d.hw})
-		d.smtSrv.OnMessage(func(dv homa.Delivery) {
-			d.serveRPC(dv.AppThread, dv.Payload, func(resp []byte) {
-				d.smtSrv.Send(dv.Src, dv.SrcPort, resp, dv.AppThread)
-			})
-		})
-		d.hs = newSMTHsServer(d.w, d.smtSrv, d.w.Server, d.cfg.MTU)
-	default:
-		return fmt.Errorf("dial %s: record %q does not ride the homa transport", d.spec.Name, d.spec.Record)
-	}
-	return nil
-}
-
-func (d *Dialer) setupTCPServer() error {
-	if d.spec.Record != RecordPlain {
-		rec, err := streamRecordFor(d.spec)
-		if err != nil {
-			return fmt.Errorf("dial %s: %w", d.spec.Name, err)
-		}
-		if err := rec.validate(d.w.CM); err != nil {
-			return fmt.Errorf("dial %s: %w", d.spec.Name, err)
-		}
-		d.rec = rec
-		d.srvConns = make(map[hsKey]*tcpsim.Conn)
-	}
-	d.tcfg = tcpsim.Config{MTU: d.cfg.MTU}
-	// Dialed connections start plaintext (nil codec factory) and get
-	// their negotiated codec installed when the exchange completes; no
-	// stream data flows before that.
-	tcpsim.Listen(d.w.Server, serverPortK, d.tcfg, nil, func() int {
-		t := d.nextSrvThread
-		d.nextSrvThread = (d.nextSrvThread + 1) % AppThreads
-		return t
-	}, func(c *tcpsim.Conn) {
-		if d.srvConns != nil {
-			d.srvConns[hsKey{c.PeerAddr(), c.PeerPort()}] = c
-		}
-		c.OnMessage(func(m []byte) {
-			d.serveRPC(c.AppThread(), m, func(resp []byte) {
-				c.SendMessage(resp)
-			})
-		})
-	})
 	return nil
 }
 
@@ -600,58 +437,45 @@ func (d *Dialer) Dial(client *cpusim.Host, onResp func(reqID uint64), onReady fu
 		conn.Ready = d.w.Eng.Now()
 		onReady(conn, nil)
 	}
-	if d.spec.Transport == TransportHoma {
-		d.dialHoma(client, thread, conn, onResp, ready)
+	if d.sw.msg {
+		d.dialMsg(client, thread, conn, onResp, ready)
 	} else {
 		d.dialTCP(client, thread, conn, onResp, ready)
 	}
 }
 
-func (d *Dialer) dialHoma(client *cpusim.Host, thread int, conn *DialedConn, onResp func(uint64), ready func(error)) {
-	onMsg := func(dv homa.Delivery) {
-		d.w.checkDelivery(dv.Payload)
-		if id, _, err := rpc.Decode(dv.Payload); err == nil {
-			onResp(id)
-		}
+func (d *Dialer) dialMsg(client *cpusim.Host, thread int, conn *DialedConn, onResp func(uint64), ready func(error)) {
+	cli := d.sw.newMsgSock(client, homa.Config{MTU: d.cfg.MTU})
+	cli.OnMessage(func(dv homa.Delivery) { d.w.echoResponse(dv.Payload, onResp) })
+	conn.Issue = func(reqID uint64, size, respSize int) {
+		cli.Send(d.w.Server.Addr, ServerPort, d.echo.request(reqID, size, respSize), thread)
 	}
-	if d.spec.Record == RecordPlain {
-		cli := homa.NewSocket(client, homa.Config{MTU: d.cfg.MTU}, nil)
-		cli.OnMessage(onMsg)
-		conn.Issue = func(reqID uint64, size, respSize int) {
-			d.encBuf = rpc.AppendEncode(d.encBuf, reqID, uint32(respSize), size)
-			cli.Send(d.w.Server.Addr, ServerPort, d.encBuf, thread)
-		}
-		conn.Close = cli.Close
+	conn.Close = cli.Close
+	if d.policy == HSNone {
 		ready(nil) // connectionless: usable immediately
 		return
 	}
-	cli := core.NewSocket(client, core.Config{Transport: homa.Config{MTU: d.cfg.MTU}, HWOffload: d.hw})
-	cli.OnMessage(onMsg)
 	opts, hit, err := d.exchangeOptions(client, thread)
 	if err != nil {
 		ready(err)
 		return
 	}
 	conn.TicketHit = hit
-	err = d.hs.exchange(client, cli, opts, func(res handshake.Result) {
+	smtCli := cli.(*core.Socket)
+	err = d.hs.exchange(client, smtCli, opts, func(res handshake.Result) {
 		d.noteResult(client, res)
 		if res.Err != nil {
 			ready(res.Err)
 			return
 		}
-		if _, err := cli.RegisterSession(d.w.Server.Addr, ServerPort, res.Client); err != nil {
+		if _, err := smtCli.RegisterSession(d.w.Server.Addr, ServerPort, res.Client); err != nil {
 			ready(err)
 			return
 		}
-		if _, err := d.smtSrv.RegisterSession(client.Addr, cli.Port(), res.Server); err != nil {
+		if _, err := d.hs.srv.RegisterSession(client.Addr, cli.Port(), res.Server); err != nil {
 			ready(err)
 			return
 		}
-		conn.Issue = func(reqID uint64, size, respSize int) {
-			d.encBuf = rpc.AppendEncode(d.encBuf, reqID, uint32(respSize), size)
-			cli.Send(d.w.Server.Addr, ServerPort, d.encBuf, thread)
-		}
-		conn.Close = cli.Close
 		ready(nil)
 	})
 	if err != nil {
@@ -661,13 +485,15 @@ func (d *Dialer) dialHoma(client *cpusim.Host, thread int, conn *DialedConn, onR
 
 func (d *Dialer) dialTCP(client *cpusim.Host, thread int, conn *DialedConn, onResp func(uint64), ready func(error)) {
 	c := tcpsim.Dial(client, thread, d.tcfg, nil, d.w.Server.Addr, serverPortK, func(cliConn *tcpsim.Conn) {
-		if d.rec == nil {
+		if d.policy == HSNone {
 			ready(nil)
 			return
 		}
-		srvConn := d.srvConns[hsKey{client.Addr, cliConn.LocalPort()}]
+		k := hsKey{client.Addr, cliConn.LocalPort()}
+		srvConn := d.srvConns[k]
+		delete(d.srvConns, k)
 		if srvConn == nil {
-			ready(fmt.Errorf("dial %s: SYN-ACK with no accepted server conn", d.spec.Name))
+			ready(fmt.Errorf("dial %s: SYN-ACK with no accepted server conn", d.sw.name))
 			return
 		}
 		opts, _, err := d.exchangeOptions(client, cliConn.AppThread())
@@ -683,7 +509,7 @@ func (d *Dialer) dialTCP(client *cpusim.Host, thread int, conn *DialedConn, onRe
 				ready(res.Err)
 				return
 			}
-			if err := installStreamCodecs(d.w, d.rec, cliConn, srvConn, res); err != nil {
+			if err := installStreamCodecs(d.w, d.sw.rec, cliConn, srvConn, res); err != nil {
 				ready(err)
 				return
 			}
@@ -693,15 +519,9 @@ func (d *Dialer) dialTCP(client *cpusim.Host, thread int, conn *DialedConn, onRe
 			ready(err)
 		}
 	})
-	c.OnMessage(func(m []byte) {
-		d.w.checkDelivery(m)
-		if id, _, err := rpc.Decode(m); err == nil {
-			onResp(id)
-		}
-	})
+	c.OnMessage(func(m []byte) { d.w.echoResponse(m, onResp) })
 	conn.Issue = func(reqID uint64, size, respSize int) {
-		d.encBuf = rpc.AppendEncode(d.encBuf, reqID, uint32(respSize), size)
-		c.SendMessage(d.encBuf)
+		c.SendMessage(d.echo.request(reqID, size, respSize))
 	}
 	conn.Close = c.Close
 }

@@ -38,7 +38,7 @@ func MeasureKeyExchange(mode handshake.Mode, size int, seed int64) (Fig12Row, er
 // measureKeyExchange is MeasureKeyExchange with its world attached to a.
 func measureKeyExchange(mode handshake.Mode, size int, seed int64, a *auditScope) (Fig12Row, error) {
 	w := NewWorld(seed)
-	a.attach(w, mustStack("SMT-sw")) // the exchange keys software SMT sockets
+	a.attach(w, true) // the exchange keys software SMT sockets
 	srv := core.NewSocket(w.Server, core.Config{Transport: homa.Config{Port: ServerPort}})
 	cli := core.NewSocket(w.Client, core.Config{})
 	srv.OnMessage(func(d homa.Delivery) {

@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"smt/internal/core"
-	"smt/internal/homa"
-	"smt/internal/ktls"
+	"smt/internal/cpusim"
 	"smt/internal/kvstore"
 	"smt/internal/rpc"
 	"smt/internal/sim"
-	"smt/internal/tcpsim"
 	"smt/internal/ycsb"
 )
 
@@ -55,100 +52,24 @@ func kvUnwrap(m []byte) (uint64, []byte, bool) {
 	return id, m[rpc.MinSize:], true
 }
 
-// msgSock adapts homa and SMT sockets to a common shape.
-type msgSock interface {
-	OnMessage(func(homa.Delivery))
-	Send(dst uint32, port uint16, payload []byte, thread int) uint64
-	Port() uint16
-}
+// BuildRedis composes the §5.3 Redis harness for a spec over the same
+// wiring as BuildFabric: the kvstore service in place of the echo, and
+// resolve's descriptive errors for inexpressible combinations.
+func BuildRedis(spec StackSpec) (redisSystem, error) { return buildRedis(spec, nil) }
 
-func redisOverMsg(name string, mkSock func(w *World, port uint16, server bool) msgSock, pair func(cli, srv msgSock) error) redisSystem {
-	return redisSystem{name: name, setup: func(w *World, streams, valueSize int, done func(uint64, []byte)) (func(int, uint64, []byte), error) {
+// buildRedis is BuildRedis with buildFabric's audit attachment.
+func buildRedis(spec StackSpec, a *auditScope) (redisSystem, error) {
+	sw, err := resolve(spec)
+	if err != nil {
+		return redisSystem{}, err
+	}
+	return redisSystem{name: sw.name, setup: func(w *World, streams, valueSize int, done func(uint64, []byte)) (func(int, uint64, []byte), error) {
+		a.attach(w, sw.encrypted())
 		store := kvstore.New(w.CM, fig8Keys, valueSize)
-		srv := mkSock(w, ServerPort, true)
-		srv.OnMessage(func(d homa.Delivery) {
-			id, body, ok := kvUnwrap(d.Payload)
-			if !ok {
-				return
-			}
-			req, err := kvstore.DecodeRequest(body)
-			if err != nil {
-				return
-			}
-			resp, cpu := store.Execute(req)
-			// Single-threaded server: everything on thread 0.
-			w.Server.RunApp(0, cpu, func() {
-				srv.Send(d.Src, d.SrcPort, kvWrap(id, resp), 0)
-			})
-		})
-		cli := mkSock(w, 0, false)
-		cli.OnMessage(func(d homa.Delivery) {
-			if id, body, ok := kvUnwrap(d.Payload); ok {
-				done(id, body)
-			}
-		})
-		if pair != nil {
-			if err := pair(cli, srv); err != nil {
-				return nil, fmt.Errorf("%s: pair sessions: %w", name, err)
-			}
-		}
-		return func(stream int, reqID uint64, req []byte) {
-			cli.Send(ServerAddr, ServerPort, kvWrap(reqID, req), stream%AppThreads)
-		}, nil
-	}}
-}
-
-func redisHoma(name string) redisSystem {
-	return redisOverMsg(name, func(w *World, port uint16, server bool) msgSock {
-		cfg := homa.Config{Port: port}
-		if server {
-			cfg.AppThreads = []int{0}
-		}
-		host := w.Client
-		if server {
-			host = w.Server
-		}
-		return homa.NewSocket(host, cfg, nil)
-	}, nil)
-}
-
-func redisSMT(name string, hw bool) redisSystem {
-	return redisOverMsg(name, func(w *World, port uint16, server bool) msgSock {
-		cfg := core.Config{HWOffload: hw, Transport: homa.Config{Port: port}}
-		if server {
-			cfg.Transport.AppThreads = []int{0}
-		}
-		host := w.Client
-		if server {
-			host = w.Server
-		}
-		return core.NewSocket(host, cfg)
-	}, func(cli, srv msgSock) error {
-		return core.PairSessions(cli.(*core.Socket), cli.Port(), srv.(*core.Socket), ServerPort, 31)
-	})
-}
-
-// redisOverTCP wires the kvstore behind the TCP family with one
-// connection per client stream; nil rec means plain TCP. Key material
-// is derived per connection (ktls.ConnKeys), never shared.
-func redisOverTCP(name string, rec *streamRecord) redisSystem {
-	return redisSystem{name: name, setup: func(w *World, streams, valueSize int, done func(uint64, []byte)) (func(int, uint64, []byte), error) {
-		if rec != nil {
-			if err := rec.validate(w.CM); err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-		}
-		store := kvstore.New(w.CM, fig8Keys, valueSize)
-		var srvCodec func(peerAddr uint32, peerPort uint16) tcpsim.Codec
-		if rec != nil {
-			srvCodec = func(peerAddr uint32, peerPort uint16) tcpsim.Codec {
-				_, sk := ktls.ConnKeys(rec.label, peerAddr, peerPort)
-				return rec.mustCodec(w.CM, sk)
-			}
-		}
-		tcpsim.Listen(w.Server, serverPortK, tcpsim.Config{}, srvCodec, func() int { return 0 /* single-threaded server */ }, func(c *tcpsim.Conn) {
-			c.OnMessage(func(m []byte) {
-				id, body, ok := kvUnwrap(m)
+		send, err := sw.wire(w, []*cpusim.Host{w.Client}, w.Server, FabricConfig{StreamsPerClient: streams}, service{
+			threads: []int{0}, pairSeed: 31,
+			serve: func(_ int, payload []byte, to replyTo) {
+				id, body, ok := kvUnwrap(payload)
 				if !ok {
 					return
 				}
@@ -157,81 +78,20 @@ func redisOverTCP(name string, rec *streamRecord) redisSystem {
 					return
 				}
 				resp, cpu := store.Execute(req)
-				w.Server.RunApp(0, cpu, func() { c.SendMessage(kvWrap(id, resp)) })
-			})
-		})
-		conns := make([]*tcpsim.Conn, streams)
-		for i := 0; i < streams; i++ {
-			var cliCodec func(localPort uint16) tcpsim.Codec
-			if rec != nil {
-				cliCodec = func(localPort uint16) tcpsim.Codec {
-					ck, _ := ktls.ConnKeys(rec.label, w.Client.Addr, localPort)
-					return rec.mustCodec(w.CM, ck)
-				}
-			}
-			c := tcpsim.Dial(w.Client, i%AppThreads, tcpsim.Config{}, cliCodec, ServerAddr, serverPortK, nil)
-			c.OnMessage(func(m []byte) {
+				// Single-threaded server: everything on thread 0.
+				w.Server.RunApp(0, cpu, func() { to.send(kvWrap(id, resp)) })
+			},
+			onResp: func(_ int, m []byte) {
 				if id, body, ok := kvUnwrap(m); ok {
 					done(id, body)
 				}
-			})
-			conns[i] = c
-		}
-		w.Eng.RunUntil(w.Eng.Now() + 5*sim.Millisecond)
-		return func(stream int, reqID uint64, req []byte) {
-			conns[stream].SendMessage(kvWrap(reqID, req))
-		}, nil
-	}}
-}
-
-// BuildRedis composes the §5.3 Redis harness for a spec, mirroring
-// BuildFabric's matrix: bytestream record layers plug into the TCP
-// wiring, the message transport carries plain Homa or SMT records, and
-// inexpressible combinations return the same descriptive errors.
-func BuildRedis(spec StackSpec) (redisSystem, error) { return buildRedis(spec, nil) }
-
-// buildRedis is BuildRedis with buildFabric's audit attachment.
-func buildRedis(spec StackSpec, a *auditScope) (redisSystem, error) {
-	sys, err := composeRedis(spec)
-	if err != nil {
-		return redisSystem{}, err
-	}
-	inner := sys.setup
-	sys.setup = func(w *World, streams, valueSize int, done func(uint64, []byte)) (func(int, uint64, []byte), error) {
-		a.attach(w, spec)
-		return inner(w, streams, valueSize, done)
-	}
-	return sys, nil
-}
-
-// composeRedis assembles the spec's Redis wiring.
-func composeRedis(spec StackSpec) (redisSystem, error) {
-	switch spec.Transport {
-	case TransportTCP:
-		rec, err := streamRecordFor(spec)
+			},
+		})
 		if err != nil {
-			return redisSystem{}, err
+			return nil, err
 		}
-		return redisOverTCP(spec.name(), rec), nil
-	case TransportHoma:
-		switch spec.Record {
-		case RecordPlain:
-			return redisHoma(spec.name()), nil
-		case RecordSMTSW:
-			return redisSMT(spec.name(), false), nil
-		case RecordSMTHW:
-			return redisSMT(spec.name(), true), nil
-		default:
-			// Delegate to BuildFabric for the canonical mismatch error.
-			_, err := BuildFabric(spec)
-			if err == nil {
-				err = fmt.Errorf("stack %s: no redis wiring for record layer %q", spec.name(), spec.Record)
-			}
-			return redisSystem{}, err
-		}
-	default:
-		return redisSystem{}, fmt.Errorf("stack %s: unknown transport %q (have tcp, homa)", spec.name(), spec.Transport)
-	}
+		return func(stream int, reqID uint64, req []byte) { send(0, stream, kvWrap(reqID, req)) }, nil
+	}}, nil
 }
 
 // Fig8Systems is the §5.3 lineup (RedisLineup: TCP, user-space TLS,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"smt/internal/cost"
 	"smt/internal/cpusim"
@@ -15,14 +14,15 @@ import (
 
 // This file is the composable stack registry: the paper's design-space
 // decomposition (Table 1) as an API. A stack under test is not an opaque
-// closure but a StackSpec — a transport crossed with a record layer —
-// and BuildFabric composes the two from small per-layer constructors.
-// The runnable matrix is therefore open: every registered spec runs on
-// every World shape (two-host and switched fabric), and combinations the
-// decomposition cannot express (a bytestream record layer on a message
-// transport, or SMT's transport-integrated records over TCP) are
-// rejected by the builder with a descriptive error instead of silently
-// not existing.
+// closure but a StackSpec — a transport crossed with a record layer.
+// resolve places a spec in that matrix once, and the harnesses
+// (BuildFabric, BuildRedis, NewDialer) wire the result from the shared
+// per-transport constructors in world.go. The runnable matrix is
+// therefore open: every registered spec runs on every World shape
+// (two-host and switched fabric), and combinations the decomposition
+// cannot express (a bytestream record layer on a message transport, or
+// SMT's transport-integrated records over TCP) are rejected by resolve
+// with a descriptive error instead of silently not existing.
 
 // Transport selects the layer that moves bytes or messages between
 // hosts.
@@ -97,8 +97,8 @@ type streamRecord struct {
 }
 
 // validate constructs a probe codec pair so key-material or constructor
-// errors surface as error returns (from BuildFabric and Setup) instead
-// of failing later inside a tcpsim accept path that cannot return one.
+// errors surface as error returns from resolve instead of failing later
+// inside a tcpsim accept path that cannot return one.
 func (r *streamRecord) validate(cm *cost.Model) error {
 	ck, sk := ktls.ConnKeys(r.label, 0, 0)
 	if _, err := r.newCodec(cm, ck); err != nil {
@@ -116,16 +116,65 @@ func (r *streamRecord) validate(cm *cost.Model) error {
 func (r *streamRecord) mustCodec(cm *cost.Model, keys ktls.Keys) tcpsim.Codec {
 	c, err := r.newCodec(cm, keys)
 	if err != nil {
-		//smt:allow panic -- the spec was validated at RegisterStack; failing after validation is a programming error
+		//smt:allow panic -- resolve validated the record layer; failing after validation is a programming error
 		panic(fmt.Sprintf("experiments: %s codec failed after validation: %v", r.label, err))
 	}
 	return c
 }
 
-// streamRecordFor maps a spec onto its bytestream record constructor;
-// nil means plaintext. Specs whose record layer has no bytestream form
-// get a descriptive error.
-func streamRecordFor(spec StackSpec) (*streamRecord, error) {
+// serverCodec and clientCodec are the pre-paired codec factories of a
+// bytestream server (tcpsim.Listen) and of one client host's
+// connections (tcpsim.Dial). Each connection derives its own mirrored
+// key material from the record layer's label and the client half of
+// the 4-tuple (ktls.ConnKeys), so no two connections in any world share
+// keys. Plain TCP (nil r) has no codec.
+func (r *streamRecord) serverCodec(cm *cost.Model) func(peerAddr uint32, peerPort uint16) tcpsim.Codec {
+	if r == nil {
+		return nil
+	}
+	return func(peerAddr uint32, peerPort uint16) tcpsim.Codec {
+		_, sk := ktls.ConnKeys(r.label, peerAddr, peerPort)
+		return r.mustCodec(cm, sk)
+	}
+}
+
+func (r *streamRecord) clientCodec(cm *cost.Model, addr uint32) func(localPort uint16) tcpsim.Codec {
+	if r == nil {
+		return nil
+	}
+	return func(localPort uint16) tcpsim.Codec {
+		ck, _ := ktls.ConnKeys(r.label, addr, localPort)
+		return r.mustCodec(cm, ck)
+	}
+}
+
+// stackWiring is a spec resolved against the transport × record-layer
+// matrix: everything the harnesses (BuildFabric, BuildRedis, NewDialer)
+// need to know to wire it.
+type stackWiring struct {
+	name string
+	msg  bool          // homa message transport; the tcp bytestream otherwise
+	smt  bool          // SMT records integrated into the message transport
+	hw   bool          // SMT-hw: NIC offload on transmit
+	rec  *streamRecord // bytestream record layer; nil is plaintext
+}
+
+// encrypted reports whether the stack protects its payloads.
+func (sw stackWiring) encrypted() bool { return sw.smt || sw.rec != nil }
+
+// resolve places spec in the transport × record-layer matrix. It is the
+// one place the matrix is decided: a combination the decomposition
+// cannot express returns a descriptive error here, and every harness
+// returns that error as is.
+func resolve(spec StackSpec) (stackWiring, error) {
+	sw := stackWiring{name: spec.name()}
+	switch spec.Transport {
+	case TransportTCP:
+	case TransportHoma:
+		sw.msg = true
+	default:
+		return sw, fmt.Errorf("stack %s: unknown transport %q (have tcp, homa)", sw.name, spec.Transport)
+	}
 	ktlsRec := func(mode ktls.Mode) *streamRecord {
 		return &streamRecord{label: string(spec.Record), newCodec: func(cm *cost.Model, keys ktls.Keys) (tcpsim.Codec, error) {
 			return ktls.New(cm, mode, keys)
@@ -133,77 +182,64 @@ func streamRecordFor(spec StackSpec) (*streamRecord, error) {
 	}
 	switch spec.Record {
 	case RecordPlain:
-		return nil, nil
 	case RecordUserTLS:
-		return ktlsRec(ktls.ModeUserTLS), nil
+		sw.rec = ktlsRec(ktls.ModeUserTLS)
 	case RecordKTLSSW:
-		return ktlsRec(ktls.ModeKTLSSW), nil
+		sw.rec = ktlsRec(ktls.ModeKTLSSW)
 	case RecordKTLSHW:
-		return ktlsRec(ktls.ModeKTLSHW), nil
+		sw.rec = ktlsRec(ktls.ModeKTLSHW)
 	case RecordTCPLS:
-		return &streamRecord{label: string(RecordTCPLS), newCodec: func(cm *cost.Model, keys ktls.Keys) (tcpsim.Codec, error) {
+		sw.rec = &streamRecord{label: string(RecordTCPLS), newCodec: func(cm *cost.Model, keys ktls.Keys) (tcpsim.Codec, error) {
 			return tcpls.New(cm, keys)
-		}}, nil
+		}}
 	case RecordSMTSW, RecordSMTHW:
-		return nil, fmt.Errorf("stack %s: record layer %q is transport-integrated encryption — it extends the homa message transport's per-message sequence space (§4) and has no bytestream form over tcp", spec.name(), spec.Record)
+		sw.smt, sw.hw = true, spec.Record == RecordSMTHW
 	default:
-		return nil, fmt.Errorf("stack %s: unknown record layer %q (have plain, tls-user, ktls-sw, ktls-hw, tcpls, smt-sw, smt-hw)", spec.name(), spec.Record)
+		return sw, fmt.Errorf("stack %s: unknown record layer %q (have plain, tls-user, ktls-sw, ktls-hw, tcpls, smt-sw, smt-hw)", sw.name, spec.Record)
 	}
+	switch {
+	case sw.smt && !sw.msg:
+		return sw, fmt.Errorf("stack %s: record layer %q is transport-integrated encryption — it extends the homa message transport's per-message sequence space (§4) and has no bytestream form over tcp", sw.name, spec.Record)
+	case sw.rec != nil && sw.msg:
+		return sw, fmt.Errorf("stack %s: record layer %q protects a TCP bytestream; the homa transport delivers whole messages with no byte sequence to cut records from — use smt-sw or smt-hw for encryption integrated into the message transport", sw.name, spec.Record)
+	case sw.rec != nil:
+		if err := sw.rec.validate(cost.Default()); err != nil {
+			return sw, fmt.Errorf("stack %s: %w", sw.name, err)
+		}
+	}
+	return sw, nil
 }
 
-// BuildFabric composes a runnable FabricSystem from a spec: the
-// transport wiring from the transport constructors in world.go, the
-// codec/session setup from the record-layer constructors above. A
-// combination the decomposition cannot express returns a descriptive
-// error; nothing in the build path panics on bad input.
+// BuildFabric composes a runnable FabricSystem from a spec: the echo
+// service (echoServer) over the spec's transport wiring (world.go). A
+// combination the decomposition cannot express returns resolve's
+// descriptive error; nothing in the build path panics on bad input.
 func BuildFabric(spec StackSpec) (FabricSystem, error) { return buildFabric(spec, nil) }
 
 // buildFabric is BuildFabric for a registry point: when a is on, the
 // composed Setup attaches an auditor to the world it wires before any
 // traffic flows.
 func buildFabric(spec StackSpec, a *auditScope) (FabricSystem, error) {
-	f, err := composeFabric(spec)
+	sw, err := resolve(spec)
 	if err != nil {
-		return f, err
+		return FabricSystem{}, err
 	}
-	inner := f.Setup
-	f.Setup = func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-		a.attach(w, spec)
-		return inner(w, clients, server, cfg, done)
-	}
-	return f, nil
-}
-
-// composeFabric assembles the spec's transport and record layer.
-func composeFabric(spec StackSpec) (FabricSystem, error) {
-	switch spec.Transport {
-	case TransportTCP:
-		rec, err := streamRecordFor(spec)
+	return FabricSystem{Name: sw.name, Setup: func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
+		a.attach(w, sw.encrypted())
+		echo := &echoServer{w: w, host: server}
+		send, err := sw.wire(w, clients, server, cfg, service{
+			threads: serverThreads(), pairSeed: 11, serve: echo.serve,
+			onResp: func(client int, m []byte) {
+				w.echoResponse(m, func(reqID uint64) { done(client, reqID) })
+			},
+		})
 		if err != nil {
-			return FabricSystem{}, err
+			return nil, err
 		}
-		if rec != nil {
-			if err := rec.validate(cost.Default()); err != nil {
-				return FabricSystem{}, fmt.Errorf("stack %s: %w", spec.name(), err)
-			}
-		}
-		return tcpFabricFamily(spec.name(), rec), nil
-	case TransportHoma:
-		switch spec.Record {
-		case RecordPlain:
-			return homaFabric(spec.name()), nil
-		case RecordSMTSW:
-			return smtFabric(spec.name(), false), nil
-		case RecordSMTHW:
-			return smtFabric(spec.name(), true), nil
-		case RecordUserTLS, RecordKTLSSW, RecordKTLSHW, RecordTCPLS:
-			return FabricSystem{}, fmt.Errorf("stack %s: record layer %q protects a TCP bytestream; the homa transport delivers whole messages with no byte sequence to cut records from — use smt-sw or smt-hw for encryption integrated into the message transport", spec.name(), spec.Record)
-		default:
-			return FabricSystem{}, fmt.Errorf("stack %s: unknown record layer %q", spec.name(), spec.Record)
-		}
-	default:
-		return FabricSystem{}, fmt.Errorf("stack %s: unknown transport %q (have tcp, homa)", spec.name(), spec.Transport)
-	}
+		return func(client, stream int, reqID uint64, size, respSize int) {
+			send(client, stream, echo.request(reqID, size, respSize))
+		}, nil
+	}}, nil
 }
 
 // BuildSystem composes the two-host System adapter for a spec.
@@ -217,83 +253,50 @@ func BuildSystem(spec StackSpec) (System, error) {
 
 // --- the named-stack registry ---
 
-var (
-	stackMu    sync.RWMutex
-	stackByKey = map[string]StackSpec{} // lower(Name) -> spec
-	stackSeq   []string                 // canonical names in registration order
-)
-
-// RegisterStack adds a named spec to the stack registry. Like Register
-// for experiments it panics on an empty or duplicate name, and also on a
-// spec BuildFabric rejects — registration is an init-time contract that
-// every listed stack is runnable.
-func RegisterStack(spec StackSpec) {
-	name := spec.name()
-	if _, err := BuildFabric(spec); err != nil {
-		//smt:allow panic -- init-time registration contract: every registered stack must build
-		panic("experiments: RegisterStack " + name + ": " + err.Error())
-	}
-	key := strings.ToLower(name)
-	stackMu.Lock()
-	defer stackMu.Unlock()
-	if _, dup := stackByKey[key]; dup {
-		//smt:allow panic -- init-time registration contract; a duplicate would silently shadow a stack
-		panic("experiments: duplicate RegisterStack of " + name)
-	}
-	spec.Name = name
-	stackByKey[key] = spec
-	stackSeq = append(stackSeq, name)
+// stackTable is the named-stack registry, in catalogue order. Lookup is
+// case-insensitive; TestStackCatalogue pins the names unique under that
+// comparison, and TestStackCrossProductSmoke builds and runs every
+// entry on both World shapes.
+var stackTable = []StackSpec{
+	{Name: "TCP", Transport: TransportTCP, Record: RecordPlain},
+	{Name: "kTLS-sw", Transport: TransportTCP, Record: RecordKTLSSW},
+	{Name: "kTLS-hw", Transport: TransportTCP, Record: RecordKTLSHW},
+	{Name: "TLS", Transport: TransportTCP, Record: RecordUserTLS},
+	{Name: "TCPLS", Transport: TransportTCP, Record: RecordTCPLS},
+	{Name: "Homa", Transport: TransportHoma, Record: RecordPlain},
+	{Name: "SMT-sw", Transport: TransportHoma, Record: RecordSMTSW},
+	{Name: "SMT-hw", Transport: TransportHoma, Record: RecordSMTHW},
 }
 
 // LookupStack resolves a registered stack by name (case-insensitive).
 func LookupStack(name string) (StackSpec, bool) {
-	stackMu.RLock()
-	defer stackMu.RUnlock()
-	s, ok := stackByKey[strings.ToLower(strings.TrimSpace(name))]
-	return s, ok
+	name = strings.TrimSpace(name)
+	for _, s := range stackTable {
+		if strings.EqualFold(s.Name, name) {
+			return s, true
+		}
+	}
+	return StackSpec{}, false
 }
 
-// Stacks returns every registered spec in registration order.
-func Stacks() []StackSpec {
-	stackMu.RLock()
-	defer stackMu.RUnlock()
-	out := make([]StackSpec, len(stackSeq))
-	for i, n := range stackSeq {
-		out[i] = stackByKey[strings.ToLower(n)]
-	}
-	return out
-}
+// Stacks returns every registered spec in catalogue order.
+func Stacks() []StackSpec { return append([]StackSpec(nil), stackTable...) }
 
 // StackNames returns the registered stack names, sorted.
 func StackNames() []string {
-	stackMu.RLock()
-	defer stackMu.RUnlock()
-	names := append([]string(nil), stackSeq...)
+	names := make([]string, len(stackTable))
+	for i, s := range stackTable {
+		names[i] = s.Name
+	}
 	sort.Strings(names)
 	return names
 }
 
-func init() {
-	for _, s := range []StackSpec{
-		{Name: "TCP", Transport: TransportTCP, Record: RecordPlain},
-		{Name: "kTLS-sw", Transport: TransportTCP, Record: RecordKTLSSW},
-		{Name: "kTLS-hw", Transport: TransportTCP, Record: RecordKTLSHW},
-		{Name: "TLS", Transport: TransportTCP, Record: RecordUserTLS},
-		{Name: "TCPLS", Transport: TransportTCP, Record: RecordTCPLS},
-		{Name: "Homa", Transport: TransportHoma, Record: RecordPlain},
-		{Name: "SMT-sw", Transport: TransportHoma, Record: RecordSMTSW},
-		{Name: "SMT-hw", Transport: TransportHoma, Record: RecordSMTHW},
-	} {
-		RegisterStack(s)
-	}
-}
-
-// mustStack resolves a name that init registered; for lineup
-// definitions only.
+// mustStack resolves a name in stackTable; for lineup definitions only.
 func mustStack(name string) StackSpec {
 	s, ok := LookupStack(name)
 	if !ok {
-		//smt:allow panic -- init-time lookup of the built-in lineup; a missing name is a registration bug
+		//smt:allow panic -- lookup of a built-in lineup name; a missing name is a stackTable bug
 		panic("experiments: stack " + name + " not registered")
 	}
 	return s

@@ -49,6 +49,19 @@ func TestStackCatalogue(t *testing.T) {
 	if _, ok := LookupStack("QUIC"); ok {
 		t.Error("LookupStack(QUIC) should fail; QUIC is not modeled")
 	}
+	// Names are unique under the case-insensitive lookup, so every
+	// entry is reachable by name.
+	seen := map[string]bool{}
+	for _, s := range stacks {
+		key := strings.ToLower(s.Name)
+		if seen[key] {
+			t.Errorf("stack name %q is not unique case-insensitively", s.Name)
+		}
+		seen[key] = true
+		if got, _ := LookupStack(s.Name); got != s {
+			t.Errorf("LookupStack(%q) = %v, want %v", s.Name, got, s)
+		}
+	}
 	// The default lineup is the six figure systems in Fig6 order — the
 	// bit-identity contract of the registry artifacts.
 	lineup := DefaultLineup()
@@ -107,6 +120,65 @@ func TestStackMatrix(t *testing.T) {
 	// BuildRedis rejects the same cells with the same story.
 	if _, err := BuildRedis(StackSpec{Transport: TransportHoma, Record: RecordTCPLS}); err == nil || !strings.Contains(err.Error(), "bytestream") {
 		t.Errorf("redis homa × tcpls error should explain the mismatch, got %v", err)
+	}
+
+	// NewDialer rejects every inexpressible cell with BuildFabric's
+	// message, and every policy its stack cannot run; it never panics.
+	newDialer := func(spec StackSpec, p HandshakePolicy) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+				t.Errorf("NewDialer(%v, %v) panicked: %v", spec, p, r)
+			}
+		}()
+		_, err = NewDialer(NewWorld(1), spec, DialConfig{Policy: p})
+		return err
+	}
+	policyRuns := func(rec RecordLayer, p HandshakePolicy) bool {
+		switch rec {
+		case RecordPlain:
+			return p == HSNone
+		case RecordSMTSW, RecordSMTHW:
+			return p == HS0RTT || p == HS1RTT
+		}
+		return p == HSResume || p == HS1RTT
+	}
+	cells := []StackSpec{{Transport: "rdma", Record: RecordPlain}, {Transport: TransportTCP, Record: "psp"}}
+	for _, tr := range allTransports {
+		for _, rec := range allRecords {
+			cells = append(cells, StackSpec{Transport: tr, Record: rec})
+		}
+	}
+	for _, spec := range cells {
+		_, fabErr := BuildFabric(spec)
+		for _, p := range []HandshakePolicy{HSNone, HS1RTT, HS0RTT, HSResume} {
+			err := newDialer(spec, p)
+			switch {
+			case fabErr != nil:
+				if err == nil || err.Error() != fabErr.Error() {
+					t.Errorf("NewDialer(%v, %v) = %v, want BuildFabric's %q", spec, p, err, fabErr)
+				}
+			case policyRuns(spec.Record, p):
+				if err != nil {
+					t.Errorf("NewDialer(%v, %v) should dial: %v", spec, p, err)
+				}
+			case err == nil:
+				t.Errorf("NewDialer(%v, %v) should reject the policy", spec, p)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		stack  string
+		policy HandshakePolicy
+		want   string
+	}{
+		{"TCP", HS1RTT, "plaintext stack cannot use policy 1rtt"},
+		{"SMT-sw", HSResume, "SMT stack supports 0rtt/1rtt, not resume"},
+		{"kTLS-sw", HS0RTT, "stream stack supports resume/1rtt, not 0rtt"},
+	} {
+		if err := newDialer(mustStack(tc.stack), tc.policy); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewDialer(%s, %v) = %v, want an error containing %q", tc.stack, tc.policy, err, tc.want)
+		}
 	}
 }
 

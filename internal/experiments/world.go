@@ -7,7 +7,8 @@
 // parallel runner (runner.go) fans any subset of points out across a
 // bounded worker pool with deterministic, canonically ordered results
 // and per-point wall-clock timing; artifact.go serializes a run to the
-// machine-readable JSON consumed by the BENCH_*.json trajectory.
+// machine-readable JSON that smtexp -json writes and the CI smoke steps
+// read.
 //
 // Three layers of access, outermost first:
 //
@@ -23,9 +24,11 @@
 //     directly or run a filtered subset of the registry's points.
 //
 // The systems under test are composed, not hardwired: a StackSpec names
-// a transport × record-layer cell and BuildFabric assembles it from the
-// per-layer constructors in this file (tcpFabricFamily, homaFabric,
-// smtFabric) — see stack.go for the registry and the buildable matrix.
+// a transport × record-layer cell, resolve (stack.go) places it in the
+// buildable matrix once, and every harness wires the result from the
+// shared constructors: newMsgSock (a homa or SMT socket, this file),
+// the streamRecord codec factories (stack.go), echoServer, and wire,
+// which binds a harness's service (echo or kvstore) to the transport.
 //
 // Worlds come in two shapes. NewWorld builds the paper's two-host
 // back-to-back testbed; NewFabricWorld builds an N-host fabric from a
@@ -43,7 +46,6 @@ import (
 	"smt/internal/cost"
 	"smt/internal/cpusim"
 	"smt/internal/homa"
-	"smt/internal/ktls"
 	"smt/internal/netsim"
 	"smt/internal/rpc"
 	"smt/internal/sim"
@@ -152,13 +154,6 @@ type FabricConfig struct {
 	MTU int
 	// NoTSO makes the stack cut packets in software (Fig. 11 ablation).
 	NoTSO bool
-	// Dialed establishes encrypted sessions by running a live 1-RTT
-	// key exchange over the fabric (dial.go) instead of installing
-	// pre-paired mirrored keys (core.PairSessions / ktls.ConnKeys).
-	// Off by default: the figure experiments measure steady state, so
-	// they pre-pair, exactly as the paper's harness pre-establishes
-	// connections before measuring.
-	Dialed bool
 }
 
 // FabricSystem is a System generalized to N hosts: Setup wires one echo
@@ -193,7 +188,8 @@ func (f FabricSystem) System() System {
 	}}
 }
 
-// serverThreads is the app-thread pool message transports deliver into.
+// serverThreads is the echo server's app-thread pool: message
+// transports deliver into it, bytestream accepts rotate through it.
 func serverThreads() []int {
 	threads := make([]int, AppThreads)
 	for i := range threads {
@@ -202,191 +198,159 @@ func serverThreads() []int {
 	return threads
 }
 
-// --- message-transport wiring (homa × {plain, smt-sw, smt-hw}) ---
+// --- the shared transport wiring of every harness ---
 
-// homaFabric is the plain message-transport constructor: Homa with no
-// record layer.
-func homaFabric(name string) FabricSystem {
-	return FabricSystem{Name: name, Setup: func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-		// encBuf is the world's RPC-payload scratch: the transports copy
-		// the payload synchronously in Send, and the whole world runs on
-		// one goroutine, so one buffer serves every send.
-		var encBuf []byte
-		srv := homa.NewSocket(server, homa.Config{Port: ServerPort, MTU: cfg.MTU, NoTSO: cfg.NoTSO, AppThreads: serverThreads()}, nil)
-		srv.OnMessage(func(d homa.Delivery) {
-			w.checkDelivery(d.Payload)
-			id, respSize, err := rpc.Decode(d.Payload)
-			if err != nil {
-				return
-			}
-			server.RunApp(d.AppThread, w.CM.AppLogic, func() {
-				encBuf = rpc.AppendEncode(encBuf, id, 0, int(respSize))
-				srv.Send(d.Src, d.SrcPort, encBuf, d.AppThread)
-			})
-		})
-		clis := make([]*homa.Socket, len(clients))
-		for ci, ch := range clients {
-			ci := ci
-			cli := homa.NewSocket(ch, homa.Config{MTU: cfg.MTU, NoTSO: cfg.NoTSO}, nil)
-			cli.OnMessage(func(d homa.Delivery) {
-				w.checkDelivery(d.Payload)
-				if id, _, err := rpc.Decode(d.Payload); err == nil {
-					done(ci, id)
-				}
-			})
-			clis[ci] = cli
-		}
-		return func(client, stream int, reqID uint64, size, respSize int) {
-			encBuf = rpc.AppendEncode(encBuf, reqID, uint32(respSize), size)
-			clis[client].Send(server.Addr, ServerPort, encBuf, stream%AppThreads)
-		}, nil
-	}}
+// handler serves one request payload that arrived on a server app
+// thread; to addresses the response. The payload is borrowed for the
+// duration of the call.
+type handler func(appThread int, payload []byte, to replyTo)
+
+// replyTo addresses a response to the sender of one request: the
+// accepted connection on the bytestream, the source endpoint on the
+// message transport.
+type replyTo struct {
+	conn   *tcpsim.Conn
+	sock   msgSock
+	addr   uint32
+	port   uint16
+	thread int
 }
 
-// smtFabric is the transport-integrated record constructor: the homa
-// transport with SMT record protection (software crypto, or NIC offload
-// on transmit when hw is set).
-func smtFabric(name string, hw bool) FabricSystem {
-	return FabricSystem{Name: name, Setup: func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-		var encBuf []byte // world-scoped RPC scratch (see homaFabric)
-		srv := core.NewSocket(server, core.Config{
-			Transport: homa.Config{Port: ServerPort, MTU: cfg.MTU, NoTSO: cfg.NoTSO, AppThreads: serverThreads()},
-			HWOffload: hw,
-		})
-		clis := make([]*core.Socket, len(clients))
-		for ci, ch := range clients {
-			ci := ci
-			cli := core.NewSocket(ch, core.Config{
-				Transport: homa.Config{MTU: cfg.MTU, NoTSO: cfg.NoTSO},
-				HWOffload: hw,
-			})
-			// Each client pair gets its own session keys, as one TLS
-			// handshake per flow 5-tuple would produce (§4.2). Dialed
-			// worlds derive them from a live exchange instead (below).
-			if !cfg.Dialed {
-				if err := core.PairSessions(cli, cli.Port(), srv, ServerPort, byte(11+ci)); err != nil {
-					return nil, fmt.Errorf("%s: pair sessions for client %d: %w", name, ci, err)
-				}
-			}
-			cli.OnMessage(func(d homa.Delivery) {
-				w.checkDelivery(d.Payload)
-				if id, _, err := rpc.Decode(d.Payload); err == nil {
-					done(ci, id)
-				}
-			})
-			clis[ci] = cli
-		}
-		if cfg.Dialed {
-			if err := dialSMTSessions(w, name, srv, server, clis, clients, cfg.MTU); err != nil {
-				return nil, err
-			}
-		}
-		srv.OnMessage(func(d homa.Delivery) {
-			w.checkDelivery(d.Payload)
-			id, respSize, err := rpc.Decode(d.Payload)
-			if err != nil {
-				return
-			}
-			server.RunApp(d.AppThread, w.CM.AppLogic, func() {
-				encBuf = rpc.AppendEncode(encBuf, id, 0, int(respSize))
-				srv.Send(d.Src, d.SrcPort, encBuf, d.AppThread)
-			})
-		})
-		return func(client, stream int, reqID uint64, size, respSize int) {
-			encBuf = rpc.AppendEncode(encBuf, reqID, uint32(respSize), size)
-			clis[client].Send(server.Addr, ServerPort, encBuf, stream%AppThreads)
-		}, nil
-	}}
+func (r replyTo) send(payload []byte) {
+	if r.conn != nil {
+		r.conn.SendMessage(payload)
+		return
+	}
+	r.sock.Send(r.addr, r.port, payload, r.thread)
 }
 
-// --- bytestream wiring (tcp × any stream record layer) ---
+// msgSock is a message-transport endpoint: a plain homa.Socket or an
+// SMT core.Socket.
+type msgSock interface {
+	OnMessage(func(homa.Delivery))
+	Send(dst uint32, port uint16, payload []byte, thread int) uint64
+	Port() uint16
+	Close()
+}
 
-// tcpFabricFamily wires one connection per (client, stream) through a
-// stream record layer; nil rec means plain TCP. Each connection derives
-// its own mirrored key material from the record layer's label and the
-// client half of the 4-tuple (ktls.ConnKeys), so no two connections in
-// any world share keys.
-func tcpFabricFamily(name string, rec *streamRecord) FabricSystem {
-	return FabricSystem{Name: name, Setup: func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-		if rec != nil {
-			if err := rec.validate(w.CM); err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-		}
-		var encBuf []byte // world-scoped RPC scratch (see homaFabric)
-		tcfg := tcpsim.Config{MTU: cfg.MTU}
-		nextThread := 0
-		// Dialed worlds start every connection plaintext and install the
-		// negotiated codec when the live exchange completes (below); the
-		// default pre-paired path installs mirrored per-connection keys
-		// at accept/dial time.
-		dialed := cfg.Dialed && rec != nil
-		var srvConns map[hsKey]*tcpsim.Conn
-		if dialed {
-			srvConns = make(map[hsKey]*tcpsim.Conn)
-		}
-		var srvCodec func(peerAddr uint32, peerPort uint16) tcpsim.Codec
-		if rec != nil && !dialed {
-			srvCodec = func(peerAddr uint32, peerPort uint16) tcpsim.Codec {
-				_, sk := ktls.ConnKeys(rec.label, peerAddr, peerPort)
-				return rec.mustCodec(w.CM, sk)
-			}
-		}
-		tcpsim.Listen(server, serverPortK, tcfg, srvCodec, func() int {
-			t := nextThread
-			nextThread = (nextThread + 1) % AppThreads
-			return t
-		}, func(c *tcpsim.Conn) {
-			if dialed {
-				srvConns[hsKey{c.PeerAddr(), c.PeerPort()}] = c
-			}
-			c.OnMessage(func(m []byte) {
-				w.checkDelivery(m)
-				id, respSize, err := rpc.Decode(m)
-				if err != nil {
-					return
-				}
-				server.RunApp(c.AppThread(), w.CM.AppLogic, func() {
-					encBuf = rpc.AppendEncode(encBuf, id, 0, int(respSize))
-					c.SendMessage(encBuf)
-				})
-			})
-		})
-		conns := make([][]*tcpsim.Conn, len(clients))
+// newMsgSock binds one message-transport endpoint for sw on host.
+func (sw stackWiring) newMsgSock(host *cpusim.Host, cfg homa.Config) msgSock {
+	if sw.smt {
+		return core.NewSocket(host, core.Config{Transport: cfg, HWOffload: sw.hw})
+	}
+	return homa.NewSocket(host, cfg, nil)
+}
+
+// serveMsg hands every request arriving at a server socket to h.
+func serveMsg(s msgSock, h handler) {
+	s.OnMessage(func(d homa.Delivery) {
+		h(d.AppThread, d.Payload, replyTo{sock: s, addr: d.Src, port: d.SrcPort, thread: d.AppThread})
+	})
+}
+
+// serveConn hands every request arriving on an accepted connection to h.
+func serveConn(c *tcpsim.Conn, h handler) {
+	c.OnMessage(func(m []byte) { h(c.AppThread(), m, replyTo{conn: c}) })
+}
+
+// echoServer is the RPC echo service of the fabric wirings and the
+// Dialer: it charges AppLogic on the delivering app thread and answers
+// with a response of the requested size.
+type echoServer struct {
+	w    *World
+	host *cpusim.Host
+	// buf is the world's RPC-payload scratch for requests and
+	// responses alike: the transports copy the payload synchronously
+	// in Send, and the whole world runs on one goroutine, so one
+	// buffer serves every send.
+	buf []byte
+}
+
+func (e *echoServer) serve(appThread int, payload []byte, to replyTo) {
+	e.w.checkDelivery(payload)
+	id, respSize, err := rpc.Decode(payload)
+	if err != nil {
+		return
+	}
+	e.host.RunApp(appThread, e.w.CM.AppLogic, func() {
+		e.buf = rpc.AppendEncode(e.buf, id, 0, int(respSize))
+		to.send(e.buf)
+	})
+}
+
+// request encodes an echo request into the scratch buffer.
+func (e *echoServer) request(reqID uint64, size, respSize int) []byte {
+	e.buf = rpc.AppendEncode(e.buf, reqID, uint32(respSize), size)
+	return e.buf
+}
+
+// echoResponse hands an accepted echo response's request ID to done.
+func (w *World) echoResponse(m []byte, done func(reqID uint64)) {
+	w.checkDelivery(m)
+	if id, _, err := rpc.Decode(m); err == nil {
+		done(id)
+	}
+}
+
+// service is what a harness runs over a wiring: the server's request
+// handler and the app threads it runs on, the clients' response
+// handler, and the seed of the pre-paired SMT session keys (client i
+// pairs with seed pairSeed+i).
+type service struct {
+	threads  []int
+	pairSeed byte
+	serve    handler
+	onResp   func(client int, m []byte)
+}
+
+// wire binds svc for sw: the server endpoint on server and
+// cfg.StreamsPerClient client streams on every host in clients, with
+// encrypted sessions pre-paired — exactly as the paper's harness
+// pre-establishes connections before measuring. On the message
+// transport every client has one socket sharing core.PairSessions keys
+// with the server (one TLS handshake per flow, §4.2); on the bytestream
+// every stream is its own connection with its own ktls.ConnKeys codecs,
+// established before wire returns. send issues a request payload on
+// one client's stream.
+func (sw stackWiring) wire(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, svc service) (send func(client, stream int, payload []byte), err error) {
+	if sw.msg {
+		srv := sw.newMsgSock(server, homa.Config{Port: ServerPort, MTU: cfg.MTU, NoTSO: cfg.NoTSO, AppThreads: svc.threads})
+		serveMsg(srv, svc.serve)
+		clis := make([]msgSock, len(clients))
 		for ci, ch := range clients {
-			ci := ci
-			conns[ci] = make([]*tcpsim.Conn, cfg.StreamsPerClient)
-			for i := 0; i < cfg.StreamsPerClient; i++ {
-				var cliCodec func(localPort uint16) tcpsim.Codec
-				if rec != nil && !dialed {
-					addr := ch.Addr
-					cliCodec = func(localPort uint16) tcpsim.Codec {
-						ck, _ := ktls.ConnKeys(rec.label, addr, localPort)
-						return rec.mustCodec(w.CM, ck)
-					}
+			cli := sw.newMsgSock(ch, homa.Config{MTU: cfg.MTU, NoTSO: cfg.NoTSO})
+			if c, ok := cli.(*core.Socket); ok {
+				if err := core.PairSessions(c, c.Port(), srv.(*core.Socket), ServerPort, svc.pairSeed+byte(ci)); err != nil {
+					return nil, fmt.Errorf("%s: pair sessions for client %d: %w", sw.name, ci, err)
 				}
-				c := tcpsim.Dial(ch, i%AppThreads, tcfg, cliCodec, server.Addr, serverPortK, nil)
-				c.OnMessage(func(m []byte) {
-					w.checkDelivery(m)
-					if id, _, err := rpc.Decode(m); err == nil {
-						done(ci, id)
-					}
-				})
-				conns[ci][i] = c
 			}
+			cli.OnMessage(func(d homa.Delivery) { svc.onResp(ci, d.Payload) })
+			clis[ci] = cli
 		}
-		// Pre-establish all connections before measurement.
-		w.Eng.RunUntil(w.Eng.Now() + 5*sim.Millisecond)
-		if dialed {
-			if err := dialTCPSessions(w, name, rec, conns, srvConns, clients, server); err != nil {
-				return nil, err
-			}
-		}
-		return func(client, stream int, reqID uint64, size, respSize int) {
-			encBuf = rpc.AppendEncode(encBuf, reqID, uint32(respSize), size)
-			conns[client][stream].SendMessage(encBuf)
+		return func(client, stream int, payload []byte) {
+			clis[client].Send(server.Addr, ServerPort, payload, stream%AppThreads)
 		}, nil
-	}}
+	}
+	tcfg := tcpsim.Config{MTU: cfg.MTU}
+	next := 0
+	tcpsim.Listen(server, serverPortK, tcfg, sw.rec.serverCodec(w.CM), func() int {
+		t := svc.threads[next]
+		next = (next + 1) % len(svc.threads)
+		return t
+	}, func(c *tcpsim.Conn) { serveConn(c, svc.serve) })
+	conns := make([][]*tcpsim.Conn, len(clients))
+	for ci, ch := range clients {
+		conns[ci] = make([]*tcpsim.Conn, cfg.StreamsPerClient)
+		for i := range conns[ci] {
+			c := tcpsim.Dial(ch, i%AppThreads, tcfg, sw.rec.clientCodec(w.CM, ch.Addr), server.Addr, serverPortK, nil)
+			c.OnMessage(func(m []byte) { svc.onResp(ci, m) })
+			conns[ci][i] = c
+		}
+	}
+	w.Eng.RunUntil(w.Eng.Now() + 5*sim.Millisecond)
+	return func(client, stream int, payload []byte) {
+		conns[client][stream].SendMessage(payload)
+	}, nil
 }
 
 // mtuOrDefault resolves an MTU argument.
